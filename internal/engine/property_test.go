@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,52 +111,28 @@ func randomQueryOn(rng *rand.Rand, dims []string, subOf map[string]string) *quer
 	return q
 }
 
+// wordBoundarySizes are batch sizes on either side of the 64-query word
+// boundary and past it: one-, two-, three- and four-word query sets, so the
+// multi-word probe, residual, routing-selection and router paths run
+// against the oracle.
+var wordBoundarySizes = []int{63, 64, 65, 130, 200}
+
 // TestPropertyEngineMatchesBaselines is the repository's randomized
 // correctness property: on random schemas, data, and query batches —
 // including self-closing cycles, sub-dimensions and random filters —
 // RouLette's shared adaptive execution produces exactly the per-query
-// counts of the query-at-a-time engine.
+// counts of the query-at-a-time engine. A third of the quick-check cases
+// and a deterministic sweep draw batches across query-set word
+// boundaries; half of each run with CollectRows, where the routed rows
+// themselves are checked too.
 func TestPropertyEngineMatchesBaselines(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		db, dims, subOf := randomSchemaDB(rng)
 		nQ := 1 + rng.Intn(10)
-		qs := make([]*query.Query, nQ)
-		for i := range qs {
-			qs[i] = randomQueryOn(rng, dims, subOf)
+		if rng.Intn(3) == 0 {
+			nQ = wordBoundarySizes[rng.Intn(len(wordBoundarySizes))]
 		}
-		b, err := query.Compile(qs)
-		if err != nil {
-			t.Logf("seed %d: compile: %v", seed, err)
-			return false
-		}
-		opt := exec.DefaultOptions()
-		opt.VectorSize = 32 + rng.Intn(100)
-		opt.CollectRows = false
-		opt.Pruning = rng.Intn(2) == 0
-		opt.AdaptiveProjections = rng.Intn(2) == 0
-		s, err := NewSession(b, db, Config{Exec: opt, Workers: 1 + rng.Intn(3)})
-		if err != nil {
-			t.Logf("seed %d: session: %v", seed, err)
-			return false
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Logf("seed %d: run: %v", seed, err)
-			return false
-		}
-		want, _, err := qat.New(db).RunSerial(qs)
-		if err != nil {
-			t.Logf("seed %d: qat: %v", seed, err)
-			return false
-		}
-		for i := range want {
-			if res.Counts[i] != want[i] {
-				t.Logf("seed %d: query %d: roulette %d, qat %d", seed, i, res.Counts[i], want[i])
-				return false
-			}
-		}
-		return true
+		return checkEngineMatchesQat(t, seed, rng, nQ, rng.Intn(2) == 0)
 	}
 	cfg := &quick.Config{MaxCount: 30}
 	if testing.Short() {
@@ -164,4 +141,124 @@ func TestPropertyEngineMatchesBaselines(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+	for i, nQ := range wordBoundarySizes {
+		seed := int64(1000 + i)
+		if !checkEngineMatchesQat(t, seed, rand.New(rand.NewSource(seed)), nQ, i%2 == 0) {
+			t.Errorf("word-boundary batch of %d queries (seed %d) diverged from qat", nQ, seed)
+		}
+	}
+}
+
+// checkEngineMatchesQat runs one random batch of nQ queries through the
+// engine and compares every count with qat. With collect on, some queries
+// SUM fact.v (and some also group by a dimension), so their sources keep
+// rows; each such source must hold exactly one row per counted tuple, and
+// its fact vIDs must be the fact rows the query selects.
+func checkEngineMatchesQat(t *testing.T, seed int64, rng *rand.Rand, nQ int, collect bool) bool {
+	db, dims, subOf := randomSchemaDB(rng)
+	qs := make([]*query.Query, nQ)
+	for i := range qs {
+		qs[i] = randomQueryOn(rng, dims, subOf)
+		if collect && rng.Intn(2) == 0 {
+			qs[i].Agg = query.Agg{Kind: query.AggSum, Alias: "fact", Col: "v"}
+			if rng.Intn(2) == 0 {
+				qs[i].Agg.GroupByAlias, qs[i].Agg.GroupByCol = qs[i].Rels[1].Table, "v"
+			}
+		}
+	}
+	b, err := query.Compile(qs)
+	if err != nil {
+		t.Logf("seed %d: compile: %v", seed, err)
+		return false
+	}
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 32 + rng.Intn(100)
+	opt.CollectRows = collect
+	opt.Pruning = rng.Intn(2) == 0
+	opt.AdaptiveProjections = rng.Intn(2) == 0
+	opt.LocalityRouter = rng.Intn(4) != 0
+	s, err := NewSession(b, db, Config{Exec: opt, Workers: 1 + rng.Intn(3)})
+	if err != nil {
+		t.Logf("seed %d: session: %v", seed, err)
+		return false
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Logf("seed %d: run: %v", seed, err)
+		return false
+	}
+	want, _, err := qat.New(db).RunSerial(qs)
+	if err != nil {
+		t.Logf("seed %d: qat: %v", seed, err)
+		return false
+	}
+	for i := range want {
+		if res.Counts[i] != want[i] {
+			t.Logf("seed %d (%d queries): query %d: roulette %d, qat %d", seed, nQ, i, res.Counts[i], want[i])
+			return false
+		}
+	}
+	for qid, q := range qs {
+		if q.Agg.Kind != query.AggSum {
+			continue
+		}
+		src := s.Context().Sources[qid]
+		rows, width := src.Rows()
+		if int64(len(rows)) != int64(width)*res.Counts[qid] {
+			t.Logf("seed %d: query %d: %d row words of width %d for count %d", seed, qid, len(rows), width, res.Counts[qid])
+			return false
+		}
+		factInst, _ := b.InstOfAlias(qid, "fact")
+		col := -1
+		for c, inst := range src.Insts {
+			if inst == factInst {
+				col = c
+			}
+		}
+		got := make([]int, 0, res.Counts[qid])
+		for r := col; r < len(rows); r += width {
+			got = append(got, int(rows[r]))
+		}
+		slices.Sort(got)
+		if exp := factRowsOf(db, q); !slices.Equal(got, exp) {
+			t.Logf("seed %d: query %d: routed fact rows %v, want %v", seed, qid, got, exp)
+			return false
+		}
+	}
+	return true
+}
+
+// factRowsOf lists, in ascending order, the fact rows a randomQueryOn query
+// selects. Dimension and sub-dimension keys equal their row index, so each
+// fact row determines one row of every relation (found by following the
+// key joins), and the query keeps it iff every join and filter holds there.
+func factRowsOf(db *storage.Database, q *query.Query) []int {
+	var out []int
+	for r := 0; r < db.MustTable("fact").NumRows(); r++ {
+		row := map[string]int{"fact": r}
+		for changed := true; changed; {
+			changed = false
+			for _, j := range q.Joins {
+				if _, done := row[j.RightAlias]; done || j.RightCol != "k" {
+					continue
+				}
+				if lr, ok := row[j.LeftAlias]; ok {
+					row[j.RightAlias] = int(db.MustTable(j.LeftAlias).Col(j.LeftCol)[lr])
+					changed = true
+				}
+			}
+		}
+		ok := true
+		for _, j := range q.Joins {
+			l := db.MustTable(j.LeftAlias).Col(j.LeftCol)[row[j.LeftAlias]]
+			ok = ok && l == db.MustTable(j.RightAlias).Col(j.RightCol)[row[j.RightAlias]]
+		}
+		for _, f := range q.Filters {
+			ok = ok && f.Match(db.MustTable(f.Alias).Col(f.Col)[row[f.Alias]], nil)
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -116,7 +116,9 @@ type Context struct {
 	edgeACol [][]int64
 	edgeBCol [][]int64
 
-	// residual column slices, parallel to B.Residuals.
+	// residual column slices, parallel to B.Residuals. RetireQueries
+	// compacts B.Residuals, so these are re-derived (resolveResiduals)
+	// rather than extended whenever the residual list may have changed.
 	resACol [][]int64
 	resBCol [][]int64
 
@@ -282,9 +284,8 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 		if err := checkJoinTypes(ta, r.ACol, tb, r.BCol); err != nil {
 			return nil, err
 		}
-		c.resACol = append(c.resACol, ta.Col(r.ACol))
-		c.resBCol = append(c.resBCol, tb.Col(r.BCol))
 	}
+	c.resolveResiduals()
 
 	c.Stems = make([]*stem.STeM, len(b.Insts))
 	c.stemKeySlices = make([][][]int64, len(b.Insts))
@@ -417,8 +418,11 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 			return nil, err
 		}
 	}
-	for ri := len(c.resACol); ri < len(b.Residuals); ri++ {
+	for ri := range b.Residuals {
 		r := &b.Residuals[ri]
+		if r.QID != d.QID {
+			continue // validated when its own query was admitted
+		}
 		if !tableOf(r.A).Rel.HasColumn(r.ACol) || !tableOf(r.B).Rel.HasColumn(r.BCol) {
 			return nil, fmt.Errorf("exec: residual join column missing (%s.%s = %s.%s)",
 				b.Insts[r.A].Table, r.ACol, b.Insts[r.B].Table, r.BCol)
@@ -513,11 +517,7 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		addKey(e.A, e.ACol)
 		addKey(e.B, e.BCol)
 	}
-	for ri := len(c.resACol); ri < len(b.Residuals); ri++ {
-		r := &b.Residuals[ri]
-		c.resACol = append(c.resACol, c.Tables[r.A].Col(r.ACol))
-		c.resBCol = append(c.resBCol, c.Tables[r.B].Col(r.BCol))
-	}
+	c.resolveResiduals()
 	for _, ii := range d.NewInsts {
 		c.Stems[ii] = stem.New(c.Versions, c.stemKeyCols[ii], b.QCap(), c.Tables[ii].NumRows())
 	}
@@ -550,8 +550,9 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 }
 
 // RebuildFilters re-creates the grouped filters whose predicate lists
-// changed (after RetireQueries dropped retired predicates) and republishes
-// the view. Filters are replaced, never mutated, so episodes running on the
+// changed (after RetireQueries dropped retired predicates), re-derives the
+// residual columns from the compacted residual list, and republishes the
+// view. Filters are replaced, never mutated, so episodes running on the
 // old view keep consistent (stale but correct) filters. Caller holds the
 // engine's session mutex.
 func (c *Context) RebuildFilters(selIDs []int) {
@@ -559,7 +560,22 @@ func (c *Context) RebuildFilters(selIDs []int) {
 		sc := &c.B.SelCols[si]
 		c.Filters[si] = NewGroupedFilter(c.B.QCap(), sc, c.Tables[sc.Inst].Col(sc.Col), colDict(c.Tables[sc.Inst], sc.Col))
 	}
+	c.resolveResiduals()
 	c.PublishView()
+}
+
+// resolveResiduals re-derives resACol/resBCol from B.Residuals. Extending
+// them by index is not enough: RetireQueries compacts B.Residuals, after
+// which a surviving residual would read a retired one's columns. Columns
+// were validated when their query was admitted.
+func (c *Context) resolveResiduals() {
+	rs := c.B.Residuals
+	c.resACol = make([][]int64, len(rs))
+	c.resBCol = make([][]int64, len(rs))
+	for i, r := range rs {
+		c.resACol[i] = c.Tables[r.A].Col(r.ACol)
+		c.resBCol[i] = c.Tables[r.B].Col(r.BCol)
+	}
 }
 
 // colDict returns the catalog dictionary backing a table column, nil for

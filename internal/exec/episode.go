@@ -122,16 +122,24 @@ type Worker struct {
 	selQsets  []uint64   // ingested query-set slab, n × qw words
 	root      jvec       // join-phase root vector (wraps selVids/selQsets)
 	pool      jvecPool   // intermediate join vectors
-	tq        bitset.Set // probe: masked tuple query set
-	zeroQ     []uint64   // qw zero words for extending qset slabs in place
+	mask      []uint64   // the current operator's query mask padded to qw words
+	matchPad  []uint64   // probe: a STeM match's query set padded to qw words
 	fullMask  bitset.Set // all-queries mask (template for notMask)
 	notMask   bitset.Set // prune: bits outside the eligible set
-	unionBuf  bitset.Set // route: union of present query bits
-	qidBuf    []int      // route: decoded query IDs
-	colIdx    []int      // route: source column positions
-	flat      []int32    // route: per-query row batch
 	copyIdx   []int      // probe/routeSel: input column positions to copy
 	residuals []appliedResidual
+
+	// Router arena (route), indexed by query ID over the qw*64 IDs a query
+	// set can name. routeSeen marks the queries the current vector touched;
+	// only their routeCnt/routeRows entries are non-zero, and route resets
+	// exactly those before returning. routeCols holds each touched query's
+	// source column positions in the current vector (empty for sources that
+	// only count).
+	routeSeen []uint64
+	routeCnt  []int32
+	routeCols [][]int
+	routeRows [][]int32
+	flat      []int32 // naive router: one row
 
 	// Vector-kernel arena (see internal/stem/vec.go). probeKeys doubles as
 	// the prune phase's key batch — the selection and join phases of one
@@ -165,13 +173,16 @@ func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	qw := bitset.WordsFor(qcap)
 	w := &Worker{
 		C: ctx, Pol: pol, qw: qw,
-		collect:  ctx.Opt.CollectStats,
-		trace:    ctx.Opt.TraceActions,
-		tq:       make(bitset.Set, qw),
-		zeroQ:    make([]uint64, qw),
-		fullMask: bitset.NewFull(qcap),
-		notMask:  bitset.New(qcap),
-		unionBuf: make(bitset.Set, qw),
+		collect:   ctx.Opt.CollectStats,
+		trace:     ctx.Opt.TraceActions,
+		mask:      make([]uint64, qw),
+		matchPad:  make([]uint64, qw),
+		fullMask:  bitset.NewFull(qcap),
+		notMask:   bitset.New(qcap),
+		routeSeen: make([]uint64, qw),
+		routeCnt:  make([]int32, qw*64),
+		routeCols: make([][]int, qw*64),
+		routeRows: make([][]int32, qw*64),
 	}
 	if w.collect {
 		w.instIns = make([]int64, len(ctx.B.Insts), query.MaxInstances)
@@ -303,23 +314,15 @@ type EpisodeReport struct {
 }
 
 // ingestVector copies the episode's vIDs into the worker arena and stamps
-// every tuple with the active query set.
+// every tuple with the active query set (padded to qw words once).
 func (w *Worker) ingestVector(in EpisodeInput) ([]int32, []uint64) {
 	w.selVids = append(w.selVids[:0], in.VIDs...)
-	need := len(in.VIDs) * w.qw
-	if cap(w.selQsets) < need {
-		w.selQsets = make([]uint64, need)
-	}
-	qsets := w.selQsets[:need]
-	for i := range in.VIDs {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			var word uint64
-			if wd < len(in.Active) {
-				word = in.Active[wd]
-			}
-			qsets[base+wd] = word
-		}
+	qw := w.qw
+	w.selQsets = growWords(w.selQsets, len(in.VIDs)*qw)
+	qsets := w.selQsets
+	act := padMask(w.mask, in.Active)
+	for b := 0; b < len(qsets); b += qw {
+		copy(qsets[b:b+qw:b+qw], act)
 	}
 	return w.selVids, qsets
 }
@@ -495,29 +498,23 @@ func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []u
 	notMask := w.notMask
 	notMask.AndNotWith(elig)
 
-	n := len(vids)
 	pk := w.probeKeys[:0]
 	for _, vid := range vids {
 		pk = append(pk, local[vid])
 	}
 	w.probeKeys = pk
-	need := n * w.qw
-	if cap(w.pruneQs) < need {
-		w.pruneQs = make([]uint64, need)
-	}
-	outs := w.pruneQs[:need]
-	for i := range outs {
-		outs[i] = 0
-	}
-	other.SemiJoinVec(outs, w.qw, p.OtherCol, pk)
-	for i := 0; i < n; i++ {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			m := outs[base+wd]
-			if wd < len(notMask) {
-				m |= notMask[wd]
-			}
-			qsets[base+wd] &= m
+	qw := w.qw
+	w.pruneQs = growWords(w.pruneQs, len(vids)*qw)
+	outs := w.pruneQs
+	clear(outs)
+	other.SemiJoinVec(outs, qw, p.OtherCol, pk)
+	// notMask spans the batch's full query capacity, so it is already qw
+	// words: no padding needed.
+	nm := notMask[:qw:qw]
+	for b := 0; b < len(outs); b += qw {
+		q, o := qsets[b:b+qw:b+qw], outs[b:b+qw:b+qw]
+		for wd := range q {
+			q[wd] &= o[wd] | nm[wd]
 		}
 	}
 }
@@ -550,14 +547,7 @@ func compact(vids []int32, qsets []uint64, qw int) ([]int32, []uint64) {
 	}
 	for i := range vids {
 		base := i * qw
-		empty := true
-		for wd := 0; wd < qw; wd++ {
-			if qsets[base+wd] != 0 {
-				empty = false
-				break
-			}
-		}
-		if !empty {
+		if anyWords(qsets[base : base+qw : base+qw]) {
 			if out != i {
 				vids[out] = vids[i]
 				copy(qsets[out*qw:out*qw+qw], qsets[base:base+qw])
@@ -744,51 +734,39 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
 	} else {
-		ptq := w.probeTqs[:0]
+		qw := w.qw
+		mk := padMask(w.mask, qmask)
+		ptq := growWords(w.probeTqs, v.n*qw)
+		j := 0 // gathered tuples; tuple j's masked set is ptq[j*qw:][:qw]
 		for i := 0; i < v.n; i++ {
-			base := i * w.qw
-			empty := true
-			tq := w.tq
-			for wd := 0; wd < w.qw; wd++ {
-				var m uint64
-				if wd < len(qmask) {
-					m = qmask[wd]
-				}
-				tq[wd] = v.qsets[base+wd] & m
-				if tq[wd] != 0 {
-					empty = false
-				}
-			}
-			if empty {
+			b, o := i*qw, j*qw
+			if !andWords(ptq[o:o+qw:o+qw], v.qsets[b:b+qw:b+qw], mk) {
 				continue
 			}
 			pk = append(pk, srcData[srcVids[i]])
 			pin = append(pin, int32(i))
-			ptq = append(ptq, tq...)
+			j++
 		}
+		ptq = ptq[:j*qw]
 		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
 		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
+		// Output query sets are built in place in a slab sized for every
+		// match; a tuple whose set comes out empty is overwritten by the next.
+		oqs := growWords(out.qsets, len(w.vmatches)*qw)
+		o := 0
 		for mi := range w.vmatches {
 			m := &w.vmatches[mi]
 			j := int(m.In)
 			i := int(pin[j])
-			tq := ptq[j*w.qw : (j+1)*w.qw]
-			// Build the output query set in place at the slab's tail;
-			// roll back the extension if it comes out empty.
-			out.qsets = append(out.qsets, w.zeroQ...)
-			oq := out.qsets[len(out.qsets)-w.qw:]
-			outEmpty := true
-			for wd := 0; wd < w.qw; wd++ {
-				var mw uint64
-				if wd < len(m.QSet) {
-					mw = m.QSet[wd]
-				}
-				oq[wd] = tq[wd] & mw
-				if oq[wd] != 0 {
-					outEmpty = false
-				}
+			mq := []uint64(m.QSet)
+			if len(mq) < qw {
+				mq = padMask(w.matchPad, mq)
 			}
-			if !outEmpty && len(residuals) > 0 {
+			oq := oqs[o : o+qw : o+qw]
+			if !andWords(oq, ptq[j*qw:j*qw+qw:j*qw+qw], mq) {
+				continue
+			}
+			if len(residuals) > 0 {
 				for _, rr := range residuals {
 					wd, bit := rr.qid/64, uint64(1)<<(rr.qid%64)
 					if oq[wd]&bit != 0 {
@@ -800,20 +778,14 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 						}
 					}
 				}
-				outEmpty = true
-				for wd := 0; wd < w.qw; wd++ {
-					if oq[wd] != 0 {
-						outEmpty = false
-						break
-					}
+				if !anyWords(oq) {
+					continue
 				}
 			}
-			if outEmpty {
-				out.qsets = out.qsets[:len(out.qsets)-w.qw]
-				continue
-			}
+			o += qw
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
+		out.qsets = oqs[:o]
 	}
 	lookups := int64(len(pk)) // STeM probe keys; folded per instance when collecting
 	w.ep.joinOut += int64(out.n)
@@ -881,27 +853,19 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 			emitTuple(out, copyIdx, v, i, -1, 0)
 		}
 	} else {
+		qw := w.qw
+		mk := padMask(w.mask, qmask)
+		oqs := growWords(out.qsets, v.n*qw)
+		o := 0
 		for i := 0; i < v.n; i++ {
-			base := i * w.qw
-			out.qsets = append(out.qsets, w.zeroQ...)
-			q := out.qsets[len(out.qsets)-w.qw:]
-			empty := true
-			for wd := 0; wd < w.qw; wd++ {
-				var m uint64
-				if wd < len(qmask) {
-					m = qmask[wd]
-				}
-				q[wd] = v.qsets[base+wd] & m
-				if q[wd] != 0 {
-					empty = false
-				}
-			}
-			if empty {
-				out.qsets = out.qsets[:len(out.qsets)-w.qw]
+			b := i * qw
+			if !andWords(oqs[o:o+qw:o+qw], v.qsets[b:b+qw:b+qw], mk) {
 				continue
 			}
+			o += qw
 			emitTuple(out, copyIdx, v, i, -1, 0)
 		}
+		out.qsets = oqs[:o]
 	}
 	// Routing-selection time lands in the probe bucket, matching the cost
 	// model (§6.3 charges routing selections to the join phase).
@@ -918,92 +882,93 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 }
 
 // route multicasts v's tuples to the RouLette sources of the queries in
-// nd.Q. The locality-conscious router (§5.1) accumulates per-query rows in
-// worker-local buffers and appends them in one batch per query; the naive
-// router locks the source for every tuple.
+// nd.Q. It makes one transposed pass over the tuples: each tuple's bits in
+// qset ∧ nd.Q are iterated with TrailingZeros64, so the work is
+// proportional to the routed (tuple, query) pairs, not |nd.Q| × tuples.
+// The locality-conscious router (§5.1) counts each query's rows — and, for
+// sources that collect rows, appends them to a worker-local per-query
+// buffer in tuple order, so every query sees its rows in the same order as
+// a per-query scan would produce — then makes one Append per touched query,
+// in query-ID order. The naive router locks the source for every row.
 func (w *Worker) route(nd *plan.Node, v *jvec) {
 	c := w.C
 	t0 := time.Now()
-	// Union the present query bits into worker scratch (router fast path:
-	// skip queries with no tuples at all), then decode nd.Q ∩ union.
-	u := w.unionBuf
-	for wd := range u {
-		u[wd] = 0
-	}
+	qw := w.qw
+	mk := padMask(w.mask, nd.Q)[:qw:qw]
+	seen, cnt := w.routeSeen[:qw:qw], w.routeCnt
+	collect := c.Opt.CollectRows
+	naive := !c.Opt.LocalityRouter
 	for i := 0; i < v.n; i++ {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			u[wd] |= v.qsets[base+wd]
+		b := i * qw
+		q := v.qsets[b : b+qw : b+qw]
+		for wd := range q {
+			x := q[wd] & mk[wd]
+			seen[wd] |= x
+			for x != 0 {
+				qid := wd<<6 | bits.TrailingZeros64(x)
+				x &= x - 1
+				n := cnt[qid]
+				cnt[qid] = n + 1
+				if !collect && !naive {
+					continue // count only: no row leaves the worker
+				}
+				if n == 0 {
+					w.routeCols[qid] = w.sourceCols(c.Sources[qid], v, w.routeCols[qid])
+				}
+				if naive {
+					row := w.flat[:0]
+					for _, ci := range w.routeCols[qid] {
+						row = append(row, v.vids[ci][i])
+					}
+					w.flat = row
+					c.Sources[qid].Append(row, 1)
+					w.ep.routed++
+					continue
+				}
+				rows := w.routeRows[qid]
+				for _, ci := range w.routeCols[qid] {
+					rows = append(rows, v.vids[ci][i])
+				}
+				w.routeRows[qid] = rows
+			}
 		}
 	}
-	u.AndWith(nd.Q)
-	qids := u.AppendIDs(w.qidBuf[:0])
-	w.qidBuf = qids
-	if c.Opt.LocalityRouter {
-		for _, qid := range qids {
-			src := c.Sources[qid]
-			flat := w.flat[:0]
-			rows := 0
-			colIdx := w.sourceCols(src, v)
-			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, w.qw, i, qid) {
-					continue
-				}
-				for _, ci := range colIdx {
-					flat = append(flat, v.vids[ci][i])
-				}
-				rows++
+	nq := 0
+	for wd, x := range seen {
+		seen[wd] = 0
+		for x != 0 {
+			qid := wd<<6 | bits.TrailingZeros64(x)
+			x &= x - 1
+			nq++
+			if !naive {
+				c.Sources[qid].Append(w.routeRows[qid], int(cnt[qid]))
+				w.ep.routed += int64(cnt[qid])
+				w.routeRows[qid] = w.routeRows[qid][:0]
 			}
-			w.flat = flat
-			src.Append(flat, rows)
-			w.ep.routed += int64(rows)
-		}
-	} else {
-		for _, qid := range qids {
-			src := c.Sources[qid]
-			colIdx := w.sourceCols(src, v)
-			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, w.qw, i, qid) {
-					continue
-				}
-				row := w.flat[:0]
-				for _, ci := range colIdx {
-					row = append(row, v.vids[ci][i])
-				}
-				w.flat = row
-				src.Append(row, 1)
-				w.ep.routed++
-			}
+			cnt[qid] = 0
 		}
 	}
 	w.ep.routeNs += time.Since(t0).Nanoseconds()
 	// A vector with no tuples for nd.Q's queries routes nothing; don't count
 	// a zero-query invocation (it would drag FanOut below 1).
-	if w.collect && len(qids) > 0 {
+	if w.collect && nq > 0 {
 		w.ep.routerOps++
-		w.ep.opQueries += int64(len(qids))
-		if len(qids) > 1 {
+		w.ep.opQueries += int64(nq)
+		if nq > 1 {
 			w.ep.sharedOps++
 		}
 	}
 }
 
-// sourceCols maps a source's required instances to v's column indices,
-// reusing the worker's index buffer.
-func (w *Worker) sourceCols(src *Source, v *jvec) []int {
-	idx := w.colIdx[:0]
+// sourceCols maps the vID columns src's rows carry to v's column indices,
+// reusing idx. Sources that only count need no columns.
+func (w *Worker) sourceCols(src *Source, v *jvec, idx []int) []int {
+	idx = idx[:0]
+	if !src.collect {
+		return idx
+	}
 	for _, inst := range src.Insts {
 		idx = append(idx, v.instIdx(inst))
 	}
-	w.colIdx = idx
 	return idx
-}
-
-// tupleHas reports whether tuple i's query set contains qid.
-func tupleHas(v *jvec, qw, i, qid int) bool {
-	wd := qid / 64
-	if wd >= qw {
-		return false
-	}
-	return v.qsets[i*qw+wd]&(1<<(qid%64)) != 0
 }

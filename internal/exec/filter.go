@@ -260,30 +260,18 @@ func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int
 			}
 			return
 		}
+		// Every mask spans the filter's query capacity — the batch's, which
+		// sets qw — so it is already qw words wide (qsets.go contract).
 		for i, vid := range vids {
-			m := f.maskFor(f.col[vid])
-			base := i * qw
-			for w := 0; w < qw; w++ {
-				var mw uint64
-				if w < len(m) {
-					mw = m[w]
-				}
-				qsets[base+w] &= mw
-			}
+			b := i * qw
+			andInPlace(qsets[b:b+qw:b+qw], f.maskFor(f.col[vid]))
 		}
 		return
 	}
 	scratch := bitset.New(f.n)
 	for i, vid := range vids {
-		m := f.naiveMask(f.col[vid], scratch)
-		scratch = m
-		base := i * qw
-		for w := 0; w < qw; w++ {
-			var mw uint64
-			if w < len(m) {
-				mw = m[w]
-			}
-			qsets[base+w] &= mw
-		}
+		scratch = f.naiveMask(f.col[vid], scratch)
+		b := i * qw
+		andInPlace(qsets[b:b+qw:b+qw], scratch)
 	}
 }

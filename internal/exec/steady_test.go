@@ -34,6 +34,7 @@ func TestEpisodeStepZeroAlloc(t *testing.T) {
 	}{
 		{"16q-1word", StepBenchConfig{NQueries: 16}},
 		{"80q-2words", StepBenchConfig{NQueries: 80}},
+		{"512q-8words", StepBenchConfig{NQueries: 512}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Policy = qlearn.New(qlearn.DefaultConfig())
@@ -63,6 +64,7 @@ func TestEpisodeStepStatsZeroAlloc(t *testing.T) {
 	}{
 		{"stats-16q", StepBenchConfig{NQueries: 16, CollectStats: true}},
 		{"stats-trace-80q", StepBenchConfig{NQueries: 80, CollectStats: true, TraceActions: true}},
+		{"stats-trace-512q-8words", StepBenchConfig{NQueries: 512, CollectStats: true, TraceActions: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Policy = qlearn.New(qlearn.DefaultConfig())
@@ -155,6 +157,7 @@ func BenchmarkEpisodeStep(b *testing.B) {
 	}{
 		{"16q-1word", StepBenchConfig{NQueries: 16}},
 		{"80q-2words", StepBenchConfig{NQueries: 80}},
+		{"512q-8words", StepBenchConfig{NQueries: 512}},
 		{"16q-stats", StepBenchConfig{NQueries: 16, CollectStats: true}},
 		{"80q-stats", StepBenchConfig{NQueries: 80, CollectStats: true}},
 	} {

@@ -523,20 +523,25 @@ func (s *Stream) finish(t *Ticket, qr QueryResult) {
 
 // onRetire is the engine's retirement callback: it consumes the query's
 // source into a QueryResult and resolves the ticket. It runs outside the
-// session mutex but never concurrently with a batch mutation (the
-// engine's quiesce gate waits for callbacks).
+// session mutex, concurrently with admissions that extend the batch, so
+// the host reads a copy of the batch's headers taken under the mutex. The
+// elements it reads through them — this query's entry and its instances'
+// table names — are not written while its callback is pending: its query
+// ID cannot be reused until the callback returns.
 func (s *Stream) onRetire(qid int, st engine.QueryStatus) {
 	src := s.sess.Context().Sources[qid]
 	qr := QueryResult{Count: src.Count()}
 	if st.Completed {
-		hostRes, err := host.Consume(s.e.db, s.b, qid, src)
+		var b query.Batch
+		s.sess.WithCompiled(func(cb *query.Batch, _ *exec.Context, _ bitset.Set) { b = *cb })
+		hostRes, err := host.Consume(s.e.db, &b, qid, src)
 		if err != nil {
 			qr.Aborted, qr.Err = true, err
 		} else {
 			for _, g := range hostRes.Groups {
 				qr.Groups = append(qr.Groups, Group{Key: g.Key, Value: g.Value})
 			}
-			s.e.decodeGroups(s.b, qid, &qr)
+			s.e.decodeGroups(&b, qid, &qr)
 		}
 	} else {
 		// Partial machinery: the count so far is a lower bound, not exact.
