@@ -157,29 +157,3 @@ func (s *Stream) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// recordSubmitEvent stamps an admission-layer rejection or shed onto the
-// flight recorder's control ring and, when episode tracing is on, into the
-// episode trace ring. The query never received an engine id, hence qid -1.
-func (s *Stream) recordSubmitEvent(k obs.Kind, tenant string) {
-	if rec := s.sess.Recorder(); rec.Enabled() {
-		rec.Record(rec.Rings()-1, k, -1, 0, tenantHash(tenant), 0)
-	}
-	if s.trace != nil {
-		name := "reject"
-		if k == obs.KShed {
-			name = "shed"
-		}
-		s.trace.AddEvent(name, tenant, -1)
-	}
-}
-
-// tenantHash is FNV-1a of the tenant name, matching the engine's event
-// stamping (tenant names must stay out of the fixed-width event rings).
-func tenantHash(name string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return int64(h)
-}

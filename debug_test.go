@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/roulette-db/roulette/internal/obs"
 )
 
 // TestStreamDebugSurface drives the live introspection endpoints over a
@@ -29,7 +31,7 @@ func TestStreamDebugSurface(t *testing.T) {
 	}
 
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		Options:   Options{Seed: 5, TraceEpisodes: 128},
+		Options:   Options{Seed: 5},
 		Admission: &AdmissionOptions{MaxInFlightCost: 1.5 * est},
 	})
 	if err != nil {
@@ -40,7 +42,7 @@ func TestStreamDebugSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The budget is absurdly small, so a second submission must reject —
-	// and the rejection must land in both the recorder and the trace ring.
+	// and the rejection must land on the flight recorder.
 	if _, err := st.Submit(qs[1]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second submit: err = %v, want ErrOverloaded", err)
 	}
@@ -127,15 +129,20 @@ func TestStreamDebugSurface(t *testing.T) {
 		t.Errorf("pprof: HTTP %d", res.StatusCode)
 	}
 
-	// The rejection is also a typed record in the episode trace ring.
-	found := false
-	for _, rec := range st.trace.Events() {
-		if rec.Event == "reject" && rec.Qid == -1 {
-			found = true
+	// The rejection is a typed event on the recorder's control ring; the
+	// query never received an engine id.
+	rec := st.sess.Recorder()
+	rejects := 0
+	for _, e := range rec.Snapshot() {
+		if e.Kind == obs.KReject {
+			rejects++
+			if e.A != -1 || int(e.Ring) != rec.Rings()-1 {
+				t.Errorf("reject event on ring %d with qid %d, want the control ring and qid -1", e.Ring, e.A)
+			}
 		}
 	}
-	if !found {
-		t.Error("no reject event in the episode trace ring")
+	if rejects != 1 {
+		t.Errorf("%d reject events on the flight recorder, want 1", rejects)
 	}
 
 	if err := st.Close(); err != nil {

@@ -12,7 +12,7 @@ import (
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/faults"
-	"github.com/roulette-db/roulette/internal/metrics"
+	"github.com/roulette-db/roulette/internal/obs"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
 	"github.com/roulette-db/roulette/internal/storage"
@@ -55,12 +55,12 @@ func TestChaosInjectedPanicsIsolateToEpisodes(t *testing.T) {
 		opt := exec.DefaultOptions()
 		opt.VectorSize = 32
 		opt.Hooks = inj.Hooks()
-		s, err := NewSession(b, db, Config{Exec: opt, Workers: workers})
+		opt.TraceActions = true
+		rec := NewTraceRecorder(workers, 1<<10)
+		s, err := NewSession(b, db, Config{Exec: opt, Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := metrics.NewRing(1 << 12)
-		s.cfg.Trace = ring
 		res, err := s.Run()
 		if err != nil {
 			t.Fatalf("workers=%d: a faulted session must not error: %v", workers, err)
@@ -92,8 +92,28 @@ func TestChaosInjectedPanicsIsolateToEpisodes(t *testing.T) {
 		if completed == len(qs) {
 			t.Errorf("workers=%d: every query completed despite %d panics", workers, inj.Panics())
 		}
-		if ring.Faults() != int64(len(res.Faults)) {
-			t.Errorf("workers=%d: trace ring counted %d faults, session %d", workers, ring.Faults(), len(res.Faults))
+		// Every episode decodes from the recorder, faulted ones included.
+		ends := 0
+		for _, e := range rec.Snapshot() {
+			if e.Kind == obs.KEpisodeEnd {
+				ends++
+			}
+		}
+		traced := s.Trace(1 << 10)
+		if len(traced) != ends {
+			t.Fatalf("workers=%d: traced %d episodes, recorder ended %d", workers, len(traced), ends)
+		}
+		tracedFaults := 0
+		for _, te := range traced {
+			if te.Fault != "" {
+				tracedFaults++
+				if te.Fault != FaultPanic.String() {
+					t.Errorf("workers=%d: traced fault %q, want panic", workers, te.Fault)
+				}
+			}
+		}
+		if tracedFaults != len(res.Faults) {
+			t.Errorf("workers=%d: trace counted %d faults, session %d", workers, tracedFaults, len(res.Faults))
 		}
 		t.Logf("workers=%d: %d/%d queries survived %d injected panics", workers, completed, len(qs), inj.Panics())
 	}

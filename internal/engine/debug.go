@@ -40,6 +40,13 @@ func (s *Session) recCtl(k obs.Kind, a, b, c, d int64) {
 	}
 }
 
+// RecordSubmitEvent stamps a rejection or shed decided before the query
+// reached the session (admission control, hopeless deadline) onto the
+// control ring. The query never received an id, hence qid -1.
+func (s *Session) RecordSubmitEvent(k obs.Kind, tenant string) {
+	s.recCtl(k, -1, 0, tenantHash(tenant), 0)
+}
+
 // tenantHash is a stable FNV-1a hash of a tenant name, used to tag
 // recorder events with a tenant identity without allocating.
 func tenantHash(name string) int64 {
@@ -141,6 +148,33 @@ func queriesOfWord(w uint64, offset int) []int {
 	return out
 }
 
+// openEpisode is one worker's in-flight episode, read back from the
+// worker's flight-recorder ring: the episode is open while the ring's
+// newest event is its KEpisodeStart. activeW0 is the first word of the
+// active query set — enough to name the blocking queries for the default
+// query-ID capacity (64).
+type openEpisode struct {
+	worker   int
+	inst     int32
+	slot     int64
+	startNs  int64
+	activeW0 uint64
+}
+
+// openEpisodes lists the workers' open episodes, in worker order.
+// Sessions without a recorder report none.
+func (s *Session) openEpisodes() []openEpisode {
+	var out []openEpisode
+	for w := 0; w < s.ctlRing; w++ {
+		if e, ok := s.rec.Last(w); ok && e.Kind == obs.KEpisodeStart {
+			out = append(out, openEpisode{
+				worker: w, inst: int32(e.A), slot: e.B, startNs: e.TS, activeW0: uint64(e.C),
+			})
+		}
+	}
+	return out
+}
+
 // DebugSnapshot captures the session's control-plane state.
 func (s *Session) DebugSnapshot() DebugSnapshot {
 	s.mu.Lock()
@@ -185,13 +219,9 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 		}
 		snap.Insts[i] = d
 	}
-	for id := range s.workerEp {
-		we := &s.workerEp[id]
-		if !we.open {
-			continue
-		}
+	for _, we := range s.openEpisodes() {
 		snap.Workers = append(snap.Workers, WorkerDebug{
-			Worker: id, Inst: we.inst, Slot: we.slot,
+			Worker: we.worker, Inst: we.inst, Slot: we.slot,
 			AgeMs:         float64(now-we.startNs) / 1e6,
 			ActiveQueries: queriesOfWord(we.activeW0, 0),
 		})
@@ -261,6 +291,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now().UnixNano()
+	open := s.openEpisodes()
 	var out []Finding
 
 	// Stuck fences: a fence drains when its instance's in-flight count
@@ -280,13 +311,12 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 			Inst: i, Table: s.b.Insts[i].Table, Worker: -1, Slot: -1,
 			AgeMs: float64(age) / 1e6,
 		}
-		for id := range s.workerEp {
-			we := &s.workerEp[id]
-			if !we.open || int(we.inst) != i {
+		for _, we := range open {
+			if int(we.inst) != i {
 				continue
 			}
 			if f.Worker == -1 {
-				f.Worker, f.Slot = id, we.slot
+				f.Worker, f.Slot = we.worker, we.slot
 			}
 			f.Queries = append(f.Queries, queriesOfWord(we.activeW0, 0)...)
 		}
@@ -297,11 +327,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 	}
 
 	// Stalled episodes: a worker's open episode outliving the threshold.
-	for id := range s.workerEp {
-		we := &s.workerEp[id]
-		if !we.open {
-			continue
-		}
+	for _, we := range open {
 		age := now - we.startNs
 		if age < int64(cfg.EpisodeStall) {
 			continue
@@ -310,11 +336,11 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 		out = append(out, Finding{
 			Kind: "stalled_episode", Severity: "critical",
 			Inst: int(we.inst), Table: s.b.Insts[we.inst].Table,
-			Worker: id, Slot: we.slot, Queries: qs,
+			Worker: we.worker, Slot: we.slot, Queries: qs,
 			AgeMs: float64(age) / 1e6,
 			Detail: fmt.Sprintf(
 				"worker %d episode slot %d on instance %d (%s) running %.1fms over queries %v",
-				id, we.slot, we.inst, s.b.Insts[we.inst].Table, float64(age)/1e6, qs),
+				we.worker, we.slot, we.inst, s.b.Insts[we.inst].Table, float64(age)/1e6, qs),
 		})
 	}
 
@@ -330,10 +356,11 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 					"%d deferred reclamation(s) held back: worker %d pinned at generation %d, %d generations behind",
 					s.dom.Pending(), w, g, lag),
 			}
-			if w >= 0 && w < len(s.workerEp) && s.workerEp[w].open {
-				we := &s.workerEp[w]
-				f.Inst, f.Slot = int(we.inst), we.slot
-				f.Queries = queriesOfWord(we.activeW0, 0)
+			for _, we := range open {
+				if we.worker == w {
+					f.Inst, f.Slot = int(we.inst), we.slot
+					f.Queries = queriesOfWord(we.activeW0, 0)
+				}
 			}
 			out = append(out, f)
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/roulette-db/roulette/internal/exec"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
@@ -304,14 +303,15 @@ func TestTimelineInvariants(t *testing.T) {
 	}
 }
 
-// TestRingEventsOnShedAndPromotion asserts the metrics.Ring episode trace
-// interleaves control-plane events: a deadline-urgency lane promotion and
-// a mid-flight shed each add a typed record naming tenant and query.
+// TestRingEventsOnShedAndPromotion asserts the flight recorder's control
+// ring carries the scheduler's control-plane events: a deadline-urgency
+// lane promotion and a mid-flight shed each record one typed event whose
+// query id resolves to the submitting tenant.
 func TestRingEventsOnShedAndPromotion(t *testing.T) {
-	ring := metrics.NewRing(64)
+	rec := obs.NewRecorder(2, 64) // 1 worker + control ring
 	// A wide urgency window keeps the promotion deterministic: the deadline
 	// is comfortably in the future (no shed race) yet inside the window.
-	s, _ := schedSession(t, 8, Config{Trace: ring, DeadlineUrgency: time.Minute})
+	s, _ := schedSession(t, 8, Config{Recorder: rec, DeadlineUrgency: time.Minute})
 
 	urgent, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{
 		Tenant: "fast", Deadline: time.Now().Add(30 * time.Second),
@@ -333,29 +333,36 @@ func TestRingEventsOnShedAndPromotion(t *testing.T) {
 	s.pickScanLocked() // expired deadline: shed
 	s.mu.Unlock()
 
-	events := ring.Events()
-	var promote, shed *metrics.EpisodeRecord
-	for i := range events {
-		switch events[i].Event {
-		case "lane_promote":
-			promote = &events[i]
-		case "shed":
-			shed = &events[i]
+	tenantOf := func(qid int64) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.tenants[s.qTenant[qid]].name
+	}
+	var promotes, sheds []obs.Event
+	for _, e := range rec.Snapshot() {
+		if int(e.Ring) != rec.Rings()-1 {
+			continue
+		}
+		switch e.Kind {
+		case obs.KLanePromote:
+			promotes = append(promotes, e)
+		case obs.KShed:
+			sheds = append(sheds, e)
 		}
 	}
-	if promote == nil {
-		t.Fatal("no lane_promote record in the episode trace")
+	if len(promotes) != 1 {
+		t.Fatalf("%d lane_promote events on the control ring, want 1", len(promotes))
 	}
-	if promote.Qid != urgent || promote.Tenant != "fast" {
+	if p := promotes[0]; p.A != int64(urgent) || tenantOf(p.A) != "fast" {
 		t.Errorf("lane_promote = qid %d tenant %q, want qid %d tenant fast",
-			promote.Qid, promote.Tenant, urgent)
+			p.A, tenantOf(p.A), urgent)
 	}
-	if shed == nil {
-		t.Fatal("no shed record in the episode trace")
+	if len(sheds) != 1 {
+		t.Fatalf("%d shed events on the control ring, want 1", len(sheds))
 	}
-	if shed.Qid != dead || shed.Tenant != "late" {
-		t.Errorf("shed = qid %d tenant %q, want qid %d tenant late",
-			shed.Qid, shed.Tenant, dead)
+	if sh := sheds[0]; sh.A != int64(dead) || sh.B != 1 || tenantOf(sh.A) != "late" {
+		t.Errorf("shed = qid %d (mid-flight %d) tenant %q, want qid %d mid-flight tenant late",
+			sh.A, sh.B, tenantOf(sh.A), dead)
 	}
 }
 

@@ -55,11 +55,6 @@ type Config struct {
 	// (the Fig. 16 learning curves). Costly on large runs.
 	TrackConvergence bool
 
-	// Trace, when non-nil, receives one record per episode (observability;
-	// see internal/metrics). Public callers reach it through
-	// roulette.Options.TraceEpisodes.
-	Trace *metrics.Ring
-
 	// SessionDeadline bounds the whole run; 0 means no deadline. A run
 	// exceeding it is cancelled cooperatively and returns partial results.
 	SessionDeadline time.Duration
@@ -105,7 +100,9 @@ type Config struct {
 	// id) and the control plane (submission, fences, epochs, GC,
 	// retirement) records into the recorder's last ring. Size it with
 	// Workers+1 rings. Recording is lock- and allocation-free; a nil
-	// recorder costs one branch per event site.
+	// recorder costs one branch per event site. With Exec.TraceActions on,
+	// workers also record each episode's outcome and actions (see
+	// Session.Trace and NewTraceRecorder).
 	Recorder *obs.Recorder
 
 	// Logger receives structured diagnostics (stall watchdog reports,
@@ -340,30 +337,17 @@ type Session struct {
 	planSwitches int64
 
 	// Flight recorder & introspection (see debug.go). rec is nil-safe;
-	// ctlRing is the control-plane ring index (rec's last ring). workerEp
-	// tracks each worker's currently open episode and instFenceSince when
-	// each instance's fence was raised — both feed DebugSnapshot and the
-	// stall watchdog. qUrgent marks queries already promoted into the
-	// urgency lane so the promotion is recorded once.
+	// ctlRing is the control-plane ring index (rec's last ring), so rings
+	// below it are the workers'. instFenceSince is when each instance's
+	// fence was raised; with the workers' open episodes (read back from
+	// their rings) it feeds DebugSnapshot and the stall watchdog. qUrgent
+	// marks queries already promoted into the urgency lane so the
+	// promotion is recorded once.
 	rec            *obs.Recorder
 	ctlRing        int
 	logger         *slog.Logger
-	workerEp       []workerEpisode
 	instFenceSince []int64
 	qUrgent        bitset.Set
-}
-
-// workerEpisode is one worker's in-flight episode, stamped under the
-// session mutex when the vector is handed out and cleared when the episode
-// completes. activeW0 is the first word of the active query set — enough
-// to name the blocking queries for the default query-ID capacity (64).
-type workerEpisode struct {
-	inst     int32
-	slot     int64
-	startNs  int64
-	activeW0 uint64
-	nactive  int32
-	open     bool
 }
 
 // gcState is the streaming garbage collector's cursor. GC runs in budgeted
@@ -531,9 +515,7 @@ func (s *Session) Admit(qids ...int) {
 // the lowest rank, round-robin. It returns ok=false when every admitted
 // query's scans are complete and no admissions are pending, or when the
 // run's context has been cancelled (cooperative cancellation point).
-// id is the calling worker, so the handed-out episode can be stamped as
-// the worker's open episode for introspection.
-func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
+func (s *Session) nextEpisode() (exec.EpisodeInput, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -554,37 +536,11 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 				}
 			}
 			s.pending = nil
-			in, ok := s.nextEpisodeLockedRetry()
-			if ok {
-				s.noteEpisodeLocked(id, in)
-			}
-			return in, ok
+			return s.nextEpisodeLockedRetry()
 		}
 		return exec.EpisodeInput{}, false
 	}
-	in := s.takeRoundRobinLocked(best)
-	s.noteEpisodeLocked(id, in)
-	return in, true
-}
-
-// noteEpisodeLocked stamps worker id's open episode for the debug
-// snapshot and stall diagnosis. Array writes only; no allocation.
-func (s *Session) noteEpisodeLocked(id int, in exec.EpisodeInput) {
-	if s.workerEp == nil || id >= len(s.workerEp) {
-		return
-	}
-	var w0 uint64
-	if len(in.Active) > 0 {
-		w0 = in.Active[0]
-	}
-	s.workerEp[id] = workerEpisode{
-		inst:     int32(in.Inst),
-		slot:     int64(in.Slot),
-		startNs:  time.Now().UnixNano(),
-		activeW0: w0,
-		nactive:  int32(in.Active.Count()),
-		open:     true,
-	}
+	return s.takeRoundRobinLocked(best), true
 }
 
 // bestScanLocked returns the lowest-rank instance with an incomplete scan,
@@ -764,7 +720,6 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	s.mu.Lock()
 	s.startAt = start
 	s.dom = epoch.NewDomain(workers)
-	s.workerEp = make([]workerEpisode, workers)
 	s.mu.Unlock()
 	if s.cfg.Streaming && s.cfg.StallWatchdog > 0 {
 		go s.watchdog(ctx, s.cfg.StallWatchdog)
@@ -861,9 +816,9 @@ func (s *Session) runWorker(id int) {
 		var in exec.EpisodeInput
 		var ok bool
 		if s.cfg.Streaming {
-			in, ok = s.nextEpisodeStreaming(id)
+			in, ok = s.nextEpisodeStreaming()
 		} else {
-			in, ok = s.nextEpisode(id)
+			in, ok = s.nextEpisode()
 		}
 		if !ok {
 			return
@@ -893,33 +848,8 @@ func (s *Session) runWorker(id int) {
 		rep, err := s.runEpisode(w, in)
 		s.rec.Record(id, obs.KEpisodeEnd,
 			int64(in.Inst), int64(in.Slot), time.Since(epStart).Nanoseconds(), int64(rep.PlanSig))
-		if s.cfg.Trace != nil {
-			rec := metrics.EpisodeRecord{
-				Episode:       int64(in.Slot),
-				Inst:          int(in.Inst),
-				Input:         len(in.VIDs),
-				JoinInput:     rep.JoinInput,
-				Cost:          rep.MeasuredCost,
-				Duration:      time.Since(epStart),
-				ActiveQueries: in.Active.Count(),
-			}
-			// The report's action slices alias worker buffers; the record
-			// owns its copies.
-			if len(rep.SelActions) > 0 {
-				rec.SelActions = append([]int32(nil), rep.SelActions...)
-			}
-			if len(rep.JoinActions) > 0 {
-				rec.JoinActions = append([]int32(nil), rep.JoinActions...)
-			}
-			if err != nil {
-				var ee *EpisodeError
-				if errors.As(err, &ee) {
-					rec.Fault = ee.Kind.String()
-				} else {
-					rec.Fault = "error"
-				}
-			}
-			s.cfg.Trace.Add(rec)
+		if s.cfg.Exec.TraceActions && s.rec.Enabled() {
+			s.recordTrace(id, in, rep, err)
 		}
 		s.mu.Lock()
 		if s.lastSig != nil && rep.PlanSig != 0 {
@@ -942,9 +872,6 @@ func (s *Session) runWorker(id int) {
 		}
 		s.inFlight--
 		s.instFlight[in.Inst]--
-		if s.workerEp != nil && id < len(s.workerEp) {
-			s.workerEp[id].open = false
-		}
 		if s.instFlight[in.Inst] == 0 && s.instFence[in.Inst] {
 			s.runFenceOpsLocked(int(in.Inst))
 		}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
@@ -293,8 +292,9 @@ func TestEpisodeTracing(t *testing.T) {
 	opt := exec.DefaultOptions()
 	opt.VectorSize = 32
 	opt.CollectRows = false
-	ring := metrics.NewRing(64)
-	s, err := NewSession(b, db, Config{Exec: opt, Trace: ring})
+	opt.TraceActions = true
+	rec := NewTraceRecorder(1, 64)
+	s, err := NewSession(b, db, Config{Exec: opt, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,19 +302,20 @@ func TestEpisodeTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ring.Len() == 0 {
+	traced := s.Trace(64)
+	if len(traced) == 0 {
 		t.Fatal("no episodes traced")
 	}
 	want := int(res.Episodes)
 	if want > 64 {
 		want = 64
 	}
-	if ring.Len() != want {
-		t.Errorf("traced %d, want %d", ring.Len(), want)
+	if len(traced) != want {
+		t.Errorf("traced %d, want %d", len(traced), want)
 	}
-	for _, rec := range ring.Snapshot() {
-		if rec.Input <= 0 || rec.Duration <= 0 {
-			t.Errorf("malformed record %+v", rec)
+	for _, te := range traced {
+		if te.Input <= 0 || te.Duration <= 0 {
+			t.Errorf("malformed record %+v", te)
 		}
 	}
 }
@@ -333,8 +334,8 @@ func TestBatchStatsCollection(t *testing.T) {
 	opt.VectorSize = 64
 	opt.CollectStats = true
 	opt.TraceActions = true
-	ring := metrics.NewRing(128)
-	s, err := NewSession(b, db, Config{Exec: opt, Trace: ring, Workers: 2})
+	rec := NewTraceRecorder(2, 128)
+	s, err := NewSession(b, db, Config{Exec: opt, Recorder: rec, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +412,11 @@ func TestBatchStatsCollection(t *testing.T) {
 
 	// Trace records carry the active query count and action sequences.
 	var traced bool
-	for _, rec := range ring.Snapshot() {
-		if rec.ActiveQueries <= 0 {
-			t.Errorf("record %d: ActiveQueries = %d", rec.Episode, rec.ActiveQueries)
+	for _, te := range s.Trace(128) {
+		if te.ActiveQueries <= 0 {
+			t.Errorf("record %d: ActiveQueries = %d", te.Episode, te.ActiveQueries)
 		}
-		if rec.JoinInput > 0 && len(rec.JoinActions) > 0 {
+		if te.JoinInput > 0 && len(te.JoinActions) > 0 {
 			traced = true
 		}
 	}

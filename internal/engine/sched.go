@@ -249,9 +249,6 @@ func (s *Session) scanKeyLocked(st *scanState, urgentBefore int64) (lane int64, 
 				// every selection until the query drains or is shed).
 				s.qUrgent.Add(qid)
 				s.recCtl(obs.KLanePromote, int64(qid), d, 0, 0)
-				if s.cfg.Trace != nil {
-					s.cfg.Trace.AddEvent("lane_promote", ts.name, qid)
-				}
 			}
 		}
 		if first || l > lane {
@@ -298,9 +295,6 @@ func (s *Session) shedExpiredLocked(nowNs int64) {
 		s.shedCount++
 		metrics.Default().DeadlineSheds.Add(1)
 		s.recCtl(obs.KShed, int64(qid), 1, 0, 0)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.AddEvent("shed", ts.name, qid)
-		}
 		s.maybeRetireLocked(qid)
 	}
 	s.nextDeadline = next

@@ -262,7 +262,7 @@ func (s *Session) gcPendingLocked() bool {
 // progress ungated when idle, and block waiting for submissions otherwise.
 // Returns ok=false when the run is cancelled or the stream is closed and
 // fully drained.
-func (s *Session) nextEpisodeStreaming(id int) (exec.EpisodeInput, bool) {
+func (s *Session) nextEpisodeStreaming() (exec.EpisodeInput, bool) {
 	s.mu.Lock()
 	for {
 		if len(s.cbsQueued) > 0 {
@@ -303,7 +303,6 @@ func (s *Session) nextEpisodeStreaming(id int) (exec.EpisodeInput, bool) {
 				}
 			}
 			in := s.takeVectorLocked(query.InstID(best))
-			s.noteEpisodeLocked(id, in)
 			s.mu.Unlock()
 			return in, true
 		}

@@ -71,20 +71,25 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 	return samples
 }
 
-// calibrateJoin times STeM probes with varying match fan-outs.
+// calibrateJoin times STeM probes with varying match fan-outs, on the
+// kernels episodes run: the STeM is built with InsertVec and probed a
+// vector at a time with ProbeVec under the publication watermark.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
 	versions := stem.NewVersions()
 	var samples []cost.Sample
 	for _, fanout := range []int{1, 2, 4} {
 		const keys = 1024
-		s := stem.New(versions, []string{"k"}, 16, keys*fanout)
-		qs := bitset.NewFull(16)
-		for k := 0; k < keys; k++ {
-			for d := 0; d < fanout; d++ {
-				s.Insert(int32(k*fanout+d), []int64{int64(k)}, qs, 0)
-			}
+		rows := keys * fanout
+		s := stem.New(versions, []string{"k"}, 16, rows)
+		vids := make([]int32, rows)
+		keyCol := make([]int64, rows)
+		qsets := make([]uint64, rows)
+		for i := range vids {
+			vids[i], keyCol[i], qsets[i] = int32(i), int64(i/fanout), 1<<16-1
 		}
+		s.InsertVec(vids, [][]int64{keyCol}, qsets, 1, 0, &stem.InsertScratch{})
 		versions.Publish(0)
+		wm := versions.Watermark()
 		ts := versions.Now()
 
 		for _, n := range calibrationSizes {
@@ -92,22 +97,18 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 			for i := range probeKeys {
 				probeKeys[i] = int64(rng.Intn(keys))
 			}
-			var dst []stem.Match
+			var dst []stem.VecMatch
+			var qbuf []uint64
 			reps := 16384 / n
 			if reps == 0 {
 				reps = 1
 			}
-			out := 0
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				out = 0
-				for _, k := range probeKeys {
-					dst = s.Probe(dst[:0], "k", k, ts)
-					out += len(dst)
-				}
+				dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
 			}
 			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
-			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(out), Nanos: elapsed})
+			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
 		}
 	}
 	return samples

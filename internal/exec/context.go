@@ -35,7 +35,9 @@ type Options struct {
 	CollectStats bool
 
 	// TraceActions records each episode's chosen action sequence (selection
-	// ops, probed edges) in the EpisodeReport, for episode tracing.
+	// ops, probed edges) in the EpisodeReport, for episode tracing; with a
+	// flight recorder attached the engine also records each episode's
+	// outcome and actions on the worker's ring (engine.Session.Trace).
 	TraceActions bool
 
 	// Hooks observes or perturbs episode execution (fault injection,

@@ -46,13 +46,14 @@ const (
 	// A=query id.
 	KAdmit
 	// KReject: admission control rejected a submission. A=query id (-1 if
-	// rejected before an id was assigned), B=tenant hash.
+	// rejected before an id was assigned), C=tenant hash.
 	KReject
 	// KShed: a query was shed (hopeless or expired deadline).
-	// A=query id (-1 at submit time), B=1 if shed mid-flight.
+	// A=query id (-1 at submit time), B=1 if shed mid-flight, C=tenant
+	// hash at submit time.
 	KShed
 	// KLanePromote: the scheduler promoted a query's scans into the
-	// deadline-urgency lane. A=query id, B=ns to deadline.
+	// deadline-urgency lane. A=query id, B=deadline (unix ns).
 	KLanePromote
 	// KFenceQueue: a structural op was queued behind an instance fence.
 	// A=instance, B=query id.
@@ -81,6 +82,15 @@ const (
 	KRetire
 	// KCallback: retirement callbacks were handed off. A=count.
 	KCallback
+	// KEpisodeTrace: a traced episode's outcome, recorded on the worker's
+	// ring right after its KEpisodeEnd. A=ingested tuples | join-input
+	// tuples<<32, B=measured cost as float64 bits, C=selection actions |
+	// join actions<<32, D=fault class+1 (0 for a completed episode).
+	KEpisodeTrace
+	// KEpisodeActions: the next eight action IDs of the KEpisodeTrace
+	// before it, selection actions first, two int32 IDs per argument (low
+	// half first). The last event of an episode is zero-padded.
+	KEpisodeActions
 )
 
 var kindNames = [...]string{
@@ -102,6 +112,8 @@ var kindNames = [...]string{
 	KGCCompact:      "gc_compact",
 	KRetire:         "retire",
 	KCallback:       "callback",
+	KEpisodeTrace:   "episode_trace",
+	KEpisodeActions: "episode_actions",
 }
 
 func (k Kind) String() string {
@@ -234,6 +246,49 @@ func (r *Recorder) Record(ri int, k Kind, a, b, c, d int64) {
 	s.seq.Store(n)
 }
 
+// Last returns the newest published event of ring ri; ok is false when
+// the ring is empty or a writer keeps tearing its newest slots. Nil-safe
+// and allocation-free.
+func (r *Recorder) Last(ri int) (e Event, ok bool) {
+	if r == nil {
+		return Event{}, false
+	}
+	rg := &r.rings[ri]
+	hi := rg.pos.Load()
+	// A claim in progress leaves the slot before it as the newest
+	// published event; look back a few slots at most.
+	for n := hi; n > 0 && n+4 > hi && n+uint64(len(rg.slots)) > hi; n-- {
+		if e, ok = r.readSlot(ri, n); ok {
+			return e, true
+		}
+	}
+	return Event{}, false
+}
+
+// readSlot copies event number n of ring ri if it is still published.
+func (r *Recorder) readSlot(ri int, n uint64) (Event, bool) {
+	rg := &r.rings[ri]
+	s := &rg.slots[(n-1)&rg.mask]
+	if s.seq.Load() != n {
+		return Event{}, false // torn, unpublished, or already overwritten
+	}
+	ev := Event{
+		TS:   s.ts.Load(),
+		VC:   s.vc.Load(),
+		Seq:  n,
+		Ring: int32(ri),
+		Kind: Kind(s.kind.Load()),
+		A:    s.a.Load(),
+		B:    s.b.Load(),
+		C:    s.c.Load(),
+		D:    s.d.Load(),
+	}
+	if s.seq.Load() != n {
+		return Event{}, false // overwritten while copying
+	}
+	return ev, true
+}
+
 // drainRing copies the currently valid events of ring ri into out.
 func (r *Recorder) drainRing(ri int, out []Event) []Event {
 	rg := &r.rings[ri]
@@ -246,25 +301,9 @@ func (r *Recorder) drainRing(ri int, out []Event) []Event {
 		lo = hi - cap + 1
 	}
 	for e := lo; e <= hi; e++ {
-		s := &rg.slots[(e-1)&rg.mask]
-		if s.seq.Load() != e {
-			continue // torn, unpublished, or already overwritten
+		if ev, ok := r.readSlot(ri, e); ok {
+			out = append(out, ev)
 		}
-		ev := Event{
-			TS:   s.ts.Load(),
-			VC:   s.vc.Load(),
-			Seq:  e,
-			Ring: int32(ri),
-			Kind: Kind(s.kind.Load()),
-			A:    s.a.Load(),
-			B:    s.b.Load(),
-			C:    s.c.Load(),
-			D:    s.d.Load(),
-		}
-		if s.seq.Load() != e {
-			continue // overwritten while copying
-		}
-		out = append(out, ev)
 	}
 	return out
 }

@@ -234,3 +234,24 @@ func TestTraceValidTraceEventJSON(t *testing.T) {
 		}
 	}
 }
+
+func TestLast(t *testing.T) {
+	var nilRec *Recorder
+	if _, ok := nilRec.Last(0); ok {
+		t.Error("nil recorder reported an event")
+	}
+	r := NewRecorder(2, 8)
+	if _, ok := r.Last(0); ok {
+		t.Error("empty ring reported an event")
+	}
+	for i := 0; i < 20; i++ { // wraps the 8-slot ring
+		r.Record(0, KEpisodeStart, int64(i), 0, 0, 0)
+	}
+	r.Record(1, KGCQuantum, 7, 0, 0, 0)
+	if e, ok := r.Last(0); !ok || e.Kind != KEpisodeStart || e.A != 19 || e.Seq != 20 {
+		t.Errorf("Last(0) = %+v, %v; want the 20th event", e, ok)
+	}
+	if e, ok := r.Last(1); !ok || e.Kind != KGCQuantum || e.A != 7 || e.Ring != 1 {
+		t.Errorf("Last(1) = %+v, %v", e, ok)
+	}
+}

@@ -276,6 +276,11 @@ func decode(data []byte) (map[uint64]*qlearn.Snapshot, error) {
 	}
 	n := int(getU32(body[8:]))
 	off := 12
+	// The count is untrusted: bound it by the bytes present before sizing
+	// anything from it (every entry takes at least 12 bytes).
+	if n > (len(body)-off)/12 {
+		return nil, fmt.Errorf("policystore: file claims %d entries in %d bytes", n, len(body)-off)
+	}
 	out := make(map[uint64]*qlearn.Snapshot, n)
 	for i := 0; i < n; i++ {
 		if off+12 > len(body) {

@@ -500,6 +500,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s := &Snapshot{NQueries: int(getU32(body[8:]))}
 	n := int(getU32(body[12:]))
 	off := 16
+	// The count is untrusted: bound it by the bytes present before sizing
+	// anything from it (every entry takes at least 28 bytes).
+	if n > (len(body)-off)/28 {
+		return nil, fmt.Errorf("qlearn: snapshot claims %d entries in %d bytes", n, len(body)-off)
+	}
 	s.Entries = make([]SnapEntry, 0, n)
 	for i := 0; i < n; i++ {
 		if off+28 > len(body) {

@@ -339,11 +339,13 @@ type Options struct {
 	// untouched.
 	CollectStats bool
 
-	// TraceEpisodes retains the last N episodes as records carrying the
-	// chosen action sequence, active query count, cost, and duration
-	// (BatchResult.Trace, WriteTraceJSONL). 0 disables tracing. On streams
-	// the same ring additionally interleaves admission rejections, deadline
-	// sheds, and urgency-lane promotions as control-plane event records.
+	// TraceEpisodes retains the last N episodes of a batch as records
+	// carrying the chosen action sequence, active query count, cost, and
+	// duration (BatchResult.Trace, WriteTraceJSONL). The batch's workers
+	// record them on a flight recorder sized from N. 0 disables tracing.
+	// Batch-only: OpenStream rejects it, since a stream's always-on flight
+	// recorder already serves its timeline (Stream.WriteTrace,
+	// Stream.CaptureTrace).
 	TraceEpisodes int
 
 	// Logger receives the engine's structured diagnostics — most notably
@@ -413,7 +415,6 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 
 	opt := o.execOptions()
 	cfg := engine.Config{Exec: opt}
-	var ring *metrics.Ring
 	if o != nil {
 		cfg.Workers = o.Workers
 		cfg.TrackConvergence = o.TrackConvergence
@@ -421,8 +422,7 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 		cfg.EpisodeWatchdog = o.EpisodeWatchdog
 		cfg.Logger = o.Logger
 		if o.TraceEpisodes > 0 {
-			ring = metrics.NewRing(o.TraceEpisodes)
-			cfg.Trace = ring
+			cfg.Recorder = engine.NewTraceRecorder(o.Workers, o.TraceEpisodes)
 		}
 		if o.CalibrateCostModel {
 			e.calOnce.Do(func() {
@@ -483,7 +483,11 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 	if store != nil {
 		exportPolicy(store, learned, b, s.Context(), allLive)
 	}
-	return e.buildResult(b, s, res, ring)
+	out, err := e.buildResult(b, s, res)
+	if err == nil && cfg.Recorder != nil {
+		out.trace = s.Trace(o.TraceEpisodes)
+	}
+	return out, err
 }
 
 // decodeGroups fills Group.Label for string-typed GROUP BY keys and, when
@@ -589,7 +593,7 @@ func (e *Engine) largestInstance(b *query.Batch, vectorSize int) (query.InstID, 
 }
 
 // buildResult drains host-side consumers into the public result shape.
-func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Results, ring *metrics.Ring) (*BatchResult, error) {
+func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Results) (*BatchResult, error) {
 	out := &BatchResult{
 		Elapsed:    res.Elapsed,
 		Episodes:   res.Episodes,
@@ -625,25 +629,6 @@ func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Resu
 			tags[qid] = b.Queries[qid].Tag
 		}
 		out.Stats = newStats(res.Stats, tags)
-	}
-	if ring != nil {
-		for _, rec := range ring.Snapshot() {
-			tr := EpisodeTrace{
-				Episode:       rec.Episode,
-				ActiveQueries: rec.ActiveQueries,
-				Input:         rec.Input,
-				JoinInput:     rec.JoinInput,
-				Cost:          rec.Cost,
-				Duration:      rec.Duration,
-				SelActions:    rec.SelActions,
-				JoinActions:   rec.JoinActions,
-				Fault:         rec.Fault,
-			}
-			if rec.Inst >= 0 && rec.Inst < len(b.Insts) {
-				tr.Table = b.Insts[rec.Inst].Table
-			}
-			out.trace = append(out.trace, tr)
-		}
 	}
 	return out, nil
 }

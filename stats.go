@@ -175,24 +175,10 @@ func newStats(bs *engine.BatchStats, tags []string) *Stats {
 	return out
 }
 
-// EpisodeTrace is one traced episode (Options.TraceEpisodes).
-type EpisodeTrace struct {
-	Episode int64  `json:"episode"`
-	Table   string `json:"table"` // scanned relation
-	// ActiveQueries is the size of the episode's active query set.
-	ActiveQueries int           `json:"active_queries"`
-	Input         int           `json:"input"`      // ingested tuples
-	JoinInput     int           `json:"join_input"` // tuples entering the join phase
-	Cost          float64       `json:"cost"`       // cost-model total over the episode log
-	Duration      time.Duration `json:"duration_ns"`
-	// SelActions are the chosen selection-operator IDs in application order;
-	// JoinActions the probed join-edge IDs in execution order.
-	SelActions  []int32 `json:"sel_actions,omitempty"`
-	JoinActions []int32 `json:"join_actions,omitempty"`
-	// Fault is empty for completed episodes, else the fault class
-	// ("panic", "insert", "stall").
-	Fault string `json:"fault,omitempty"`
-}
+// EpisodeTrace is one traced episode (Options.TraceEpisodes): the scanned
+// relation, active query count, input and join-input sizes, cost,
+// duration, fault class, and the chosen selection and join actions.
+type EpisodeTrace = engine.EpisodeTrace
 
 // WriteTraceJSONL writes the batch's episode trace as JSON Lines, one
 // episode per line, oldest first.

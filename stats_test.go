@@ -207,3 +207,39 @@ func TestMetricsHandler(t *testing.T) {
 		t.Errorf("accept-negotiated content type %q", ct)
 	}
 }
+
+// TestTraceWindowTwoWorkers checks the trace window at two workers: a
+// window smaller than the batch keeps exactly N episodes, and a window
+// larger than the batch keeps every episode.
+func TestTraceWindowTwoWorkers(t *testing.T) {
+	e := fixture(t)
+	qs := []*Query{
+		NewQuery("wide").From("fact").From("dim").Join("fact", "fk", "dim", "k").CountStar(),
+		NewQuery("narrow").From("fact").From("dim").Join("fact", "fk", "dim", "k").
+			Between("fact", "v", 10, 60).CountStar(),
+	}
+	for _, n := range []int{3, 1000} {
+		res, err := e.ExecuteBatch(qs, &Options{Workers: 2, VectorSize: 16, TraceEpisodes: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := n
+		if int64(want) > res.Episodes {
+			want = int(res.Episodes)
+		}
+		trace := res.Trace()
+		if len(trace) != want {
+			t.Fatalf("TraceEpisodes %d over %d episodes: trace holds %d, want %d", n, res.Episodes, len(trace), want)
+		}
+		seen := map[int64]bool{}
+		for _, tr := range trace {
+			if seen[tr.Episode] {
+				t.Errorf("episode %d traced twice", tr.Episode)
+			}
+			seen[tr.Episode] = true
+			if tr.Table == "" || tr.Input <= 0 {
+				t.Errorf("malformed trace record %+v", tr)
+			}
+		}
+	}
+}

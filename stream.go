@@ -205,7 +205,6 @@ type Stream struct {
 	model   *cost.Model           // admission cost estimates
 	store   *PolicyStore          // nil without Options.PolicyStore
 	learned *qlearn.Learned       // the stream's policy when PolicyLearned
-	trace   *metrics.Ring         // episode + control-plane event trace (TraceEpisodes)
 	results chan QueryResult
 	resOnce sync.Once
 	runDone chan struct{}
@@ -228,6 +227,9 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 	}
 	if len(opt.Admissions) > 0 {
 		return nil, fmt.Errorf("roulette: Admissions are a batch-mode option; streams admit on Submit")
+	}
+	if opt.TraceEpisodes > 0 {
+		return nil, fmt.Errorf("roulette: TraceEpisodes is a batch-mode option; a stream's flight recorder is always on (Stream.WriteTrace, Stream.CaptureTrace)")
 	}
 
 	var seed int64 = 1
@@ -274,16 +276,11 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 		cfg.Model = e.calibrated
 	}
 
-	if opt.TraceEpisodes > 0 {
-		cfg.Trace = metrics.NewRing(opt.TraceEpisodes)
-	}
-
 	b := query.NewStreamBatch(opt.MaxQueries)
 	s := &Stream{
 		e:       e,
 		b:       b,
 		opt:     opt,
-		trace:   cfg.Trace,
 		tickets: make(map[int]*Ticket),
 		pending: make(map[int]QueryResult),
 		runDone: make(chan struct{}),
@@ -398,7 +395,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 			if s.adm != nil {
 				s.adm.RecordShed(tenant)
 			}
-			s.recordSubmitEvent(obs.KShed, tenant)
+			s.sess.RecordSubmitEvent(obs.KShed, tenant)
 			return nil, &ShedError{Tenant: tenant, AtSubmit: true, Deadline: deadline, Estimate: est}
 		}
 	}
@@ -407,7 +404,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 			reg := metrics.Default()
 			reg.SubmitOverloads.Add(1)
 			reg.Tenant(tenant).Rejected.Add(1)
-			s.recordSubmitEvent(obs.KReject, tenant)
+			s.sess.RecordSubmitEvent(obs.KReject, tenant)
 			return nil, err
 		}
 		reg := metrics.Default()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -450,5 +451,23 @@ func TestStreamSubmitErrors(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Error("Close not idempotent:", err)
+	}
+}
+
+// TestStreamRejectsTraceEpisodes pins TraceEpisodes as batch-only: a
+// stream refuses it at open time and points at its flight-recorder trace.
+func TestStreamRejectsTraceEpisodes(t *testing.T) {
+	e := streamFixture(t, 500)
+	st, err := e.OpenStream(context.Background(), &StreamOptions{
+		Options: Options{TraceEpisodes: 16},
+	})
+	if err == nil {
+		st.Close()
+		t.Fatal("TraceEpisodes accepted for a stream")
+	}
+	for _, want := range []string{"TraceEpisodes", "Stream.WriteTrace", "Stream.CaptureTrace"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
