@@ -206,13 +206,19 @@ func (c *Config) Perf() (*PerfReport, error) {
 			}
 		}
 	}))
+	// Every probing tuple carries all 64 queries, so the vector path writes
+	// every match's set like the scalar path copies it.
+	probeTqs := make([]uint64, len(probeKeys))
+	for i := range probeTqs {
+		probeTqs[i] = ^uint64(0)
+	}
 	rep.StemProbeVec = toResult("stem_probe/vec-batch1024", testing.Benchmark(func(b *testing.B) {
-		var dst []stem.VecMatch
-		var qbuf []uint64
+		var hits []stem.VecHit
+		var out []uint64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst, qbuf = ps.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, probeTS, probeWM)
+			hits, out = ps.ProbeVec(hits[:0], out[:0], "k", probeKeys, probeTqs, 1, probeTS, probeWM)
 		}
 	}))
 	if rep.StemProbeVec.NsPerOp > 0 {
@@ -234,14 +240,13 @@ func (c *Config) Perf() (*PerfReport, error) {
 		}
 	}))
 	rep.StemSemiJoinVec = toResult("stem_semijoin/vec-batch1024", testing.Benchmark(func(b *testing.B) {
-		outs := make([]uint64, len(probeKeys))
+		qsets := make([]uint64, len(probeKeys))
+		keep, acc := []uint64{0}, []uint64{0}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for w := range outs {
-				outs[w] = 0
-			}
-			ps.SemiJoinVec(outs, 1, "k", probeKeys)
+			copy(qsets, probeTqs)
+			ps.SemiJoinVec(qsets, 1, keep, acc, "k", probeKeys)
 		}
 	}))
 	if rep.StemSemiJoinVec.NsPerOp > 0 {

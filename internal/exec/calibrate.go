@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -29,6 +30,26 @@ func CalibrateModel(seed int64) *cost.Model {
 // sizes spans two orders of magnitude of vector sizes.
 var calibrationSizes = []int{256, 512, 1024, 2048, 4096}
 
+// calibrationRepeats is how many times each sample is timed; the sample
+// keeps the fastest repetition. A sample times well under a millisecond of
+// work, so one scheduler preemption or GC assist in a single timing would
+// otherwise skew the fitted κ/λ split from call to call.
+const calibrationRepeats = 5
+
+// minNanos runs op reps times per repetition, calibrationRepeats times,
+// and returns the fastest repetition's nanoseconds per op call.
+func minNanos(reps int, op func()) float64 {
+	best := math.Inf(1)
+	for r := 0; r < calibrationRepeats; r++ {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			op()
+		}
+		best = min(best, float64(time.Since(start).Nanoseconds())/float64(reps))
+	}
+	return best
+}
+
 // calibrateSelection times grouped-filter application at varying
 // selectivities.
 func calibrateSelection(rng *rand.Rand) []cost.Sample {
@@ -50,15 +71,12 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 				vids[i] = int32(rng.Intn(len(col)))
 			}
 			qsets := make([]uint64, n)
-			reps := 32768 / n
-			start := time.Now()
-			for r := 0; r < reps; r++ {
+			elapsed := minNanos(32768/n, func() {
 				for i := range qsets {
 					qsets[i] = (1 << nQueries) - 1
 				}
 				f.Apply(true, vids, qsets, 1)
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
+			})
 			out := 0
 			for _, w := range qsets {
 				if w != 0 {
@@ -73,7 +91,8 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 
 // calibrateJoin times STeM probes with varying match fan-outs, on the
 // kernels episodes run: the STeM is built with InsertVec and probed a
-// vector at a time with ProbeVec under the publication watermark.
+// vector at a time with ProbeVec under the publication watermark, every
+// probing tuple carrying all 16 queries so each match is written out.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
 	versions := stem.NewVersions()
 	var samples []cost.Sample
@@ -94,21 +113,16 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 
 		for _, n := range calibrationSizes {
 			probeKeys := make([]int64, n)
+			tqs := make([]uint64, n)
 			for i := range probeKeys {
-				probeKeys[i] = int64(rng.Intn(keys))
+				probeKeys[i], tqs[i] = int64(rng.Intn(keys)), 1<<16-1
 			}
-			var dst []stem.VecMatch
-			var qbuf []uint64
-			reps := 16384 / n
-			if reps == 0 {
-				reps = 1
-			}
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
-			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
+			var hits []stem.VecHit
+			var out []uint64
+			elapsed := minNanos(max(16384/n, 1), func() {
+				hits, out = s.ProbeVec(hits[:0], out[:0], "k", probeKeys, tqs, 1, ts, wm)
+			})
+			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(hits)), Nanos: elapsed})
 		}
 	}
 	return samples
@@ -129,16 +143,13 @@ func calibrateRouting(rng *rand.Rand) []cost.Sample {
 			}
 			vids := make([]int32, n)
 			qsets := make([]uint64, n)
-			reps := 32768 / n
 			out := 0
-			start := time.Now()
-			for r := 0; r < reps; r++ {
+			elapsed := minNanos(32768/n, func() {
 				copy(vids, baseVids)
 				copy(qsets, baseQ)
 				v, _ := compact(vids, qsets, 1)
 				out = len(v)
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
+			})
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(out), Nanos: elapsed})
 		}
 	}

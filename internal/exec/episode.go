@@ -123,7 +123,7 @@ type Worker struct {
 	root      jvec       // join-phase root vector (wraps selVids/selQsets)
 	pool      jvecPool   // intermediate join vectors
 	mask      []uint64   // the current operator's query mask padded to qw words
-	matchPad  []uint64   // probe: a STeM match's query set padded to qw words
+	semiAcc   []uint64   // prune: SemiJoinVec's per-key scratch, qw words
 	fullMask  bitset.Set // all-queries mask (template for notMask)
 	notMask   bitset.Set // prune: bits outside the eligible set
 	copyIdx   []int      // probe/routeSel: input column positions to copy
@@ -150,9 +150,7 @@ type Worker struct {
 	probeKeys  []int64            // kernel input keys (probe + prune)
 	probeIn    []int32            // kernel input position -> tuple index
 	probeTqs   []uint64           // masked tuple query sets, stride qw
-	vmatches   []stem.VecMatch    // ProbeVec output buffer
-	matchQs    []uint64           // ProbeVec query-set slab (VecMatch.QSet views)
-	pruneQs    []uint64           // SemiJoinVec output slab, stride qw
+	hits       []stem.VecHit      // ProbeVec hits (sets land in the output vector)
 
 	// cv is the context view this episode runs against: loaded once per
 	// episode (one atomic pointer load), so the hot loops below read an
@@ -176,7 +174,7 @@ func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 		collect:   ctx.Opt.CollectStats,
 		trace:     ctx.Opt.TraceActions,
 		mask:      make([]uint64, qw),
-		matchPad:  make([]uint64, qw),
+		semiAcc:   make([]uint64, qw),
 		fullMask:  bitset.NewFull(qcap),
 		notMask:   bitset.New(qcap),
 		routeSeen: make([]uint64, qw),
@@ -488,9 +486,9 @@ func (w *Worker) measuredCost() (total, join float64) {
 // applyPrune intersects each tuple's query set with the union of matching
 // query sets in the opposite STeM, restricted to the eligible queries
 // (symmetric join pruning, §5.2). The whole vector goes through one
-// SemiJoinVec kernel call: keys are gathered into the worker's key batch,
-// matching query-set unions land in the pruneQs slab, and the mask is
-// applied tuple by tuple afterwards.
+// SemiJoinVec kernel call, which prunes the query sets in place: keys are
+// gathered into the worker's key batch, and the bits outside the eligible
+// set are passed as the kept mask.
 func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []uint64) {
 	other := w.cv.stems[p.Other]
 	local := w.cv.tables[p.Inst].Col(p.LocalCol)
@@ -503,20 +501,9 @@ func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []u
 		pk = append(pk, local[vid])
 	}
 	w.probeKeys = pk
-	qw := w.qw
-	w.pruneQs = growWords(w.pruneQs, len(vids)*qw)
-	outs := w.pruneQs
-	clear(outs)
-	other.SemiJoinVec(outs, qw, p.OtherCol, pk)
 	// notMask spans the batch's full query capacity, so it is already qw
 	// words: no padding needed.
-	nm := notMask[:qw:qw]
-	for b := 0; b < len(outs); b += qw {
-		q, o := qsets[b:b+qw:b+qw], outs[b:b+qw:b+qw]
-		for wd := range q {
-			q[wd] &= o[wd] | nm[wd]
-		}
-	}
+	other.SemiJoinVec(qsets, w.qw, notMask, w.semiAcc, p.OtherCol, pk)
 }
 
 // andCount returns the popcount of a ∧ b without materializing it.
@@ -677,116 +664,61 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 
 	// Gather phase: eligible tuples' join keys and masked query sets move
 	// into the worker's kernel batch, then one ProbeVec call replaces the
-	// per-tuple STeM probes (stem/vec.go). The merge loop reads matches in
-	// input order, so output tuples append in the same order as before.
-	qmask := nd.Q
+	// per-tuple STeM probes (stem/vec.go) and writes each match's
+	// intersected query set straight into the output vector. Hits come back
+	// in input order, so output tuples append in the same order as a
+	// per-tuple probe loop would produce.
+	qw := w.qw
+	mk := padMask(w.mask, nd.Q)
 	stemT := cv.stems[nd.Target]
 	pk := w.probeKeys[:0]
 	pin := w.probeIn[:0]
 	srcVids := v.vids[srcIdx]
-	if w.qw == 1 {
-		// Fast path: batches of up to 64 queries use single-word query
-		// sets; the generic word loops dominate the probe otherwise.
-		var mask uint64
-		if len(qmask) > 0 {
-			mask = qmask[0]
+	ptq := growWords(w.probeTqs, v.n*qw)
+	j := 0 // gathered tuples; tuple j's masked set is ptq[j*qw:][:qw]
+	for i := 0; i < v.n; i++ {
+		b, o := i*qw, j*qw
+		if !andWords(ptq[o:o+qw:o+qw], v.qsets[b:b+qw:b+qw], mk) {
+			continue
 		}
-		ptq := w.probeTqs[:0]
-		for i := 0; i < v.n; i++ {
-			tqw := v.qsets[i] & mask
-			if tqw == 0 {
-				continue
-			}
-			pk = append(pk, srcData[srcVids[i]])
-			pin = append(pin, int32(i))
-			ptq = append(ptq, tqw)
-		}
-		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
-		for mi := range w.vmatches {
-			m := &w.vmatches[mi]
-			j := int(m.In)
-			i := int(pin[j])
-			var mw uint64
-			if len(m.QSet) > 0 {
-				mw = m.QSet[0]
-			}
-			oqw := ptq[j] & mw
-			if oqw == 0 {
-				continue
-			}
+		pk = append(pk, srcData[srcVids[i]])
+		pin = append(pin, int32(i))
+		j++
+	}
+	ptq = ptq[:j*qw]
+	w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
+	w.hits, out.qsets = stemT.ProbeVec(w.hits[:0], out.qsets[:0], targetCol, pk, ptq, qw, ts, wm)
+	// Residual checks run on the written sets; tuples they empty are
+	// dropped, and later survivors are copied down over them.
+	oqs := out.qsets
+	o := 0
+	for h, m := range w.hits {
+		i := int(pin[m.In])
+		oq := oqs[h*qw : h*qw+qw : h*qw+qw]
+		if len(residuals) > 0 {
 			for _, rr := range residuals {
-				bit := uint64(1) << uint(rr.qid)
-				if oqw&bit != 0 {
+				wd, bit := rr.qid/64, uint64(1)<<(rr.qid%64)
+				if oq[wd]&bit != 0 {
 					// NULL endpoints (value.NullCode) never satisfy the
 					// equality — the ov == NullCode check also rejects the
 					// NULL = NULL case, which != alone would let through.
 					ov := rr.otherData[v.vids[rr.otherIdx][i]]
 					if ov != rr.targetData[m.VID] || ov == value.NullCode {
-						oqw &^= bit
+						oq[wd] &^= bit
 					}
 				}
 			}
-			if oqw == 0 {
+			if !anyWords(oq) {
 				continue
 			}
-			out.qsets = append(out.qsets, oqw)
-			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
+			if o != h*qw {
+				copy(oqs[o:o+qw], oq)
+			}
 		}
-	} else {
-		qw := w.qw
-		mk := padMask(w.mask, qmask)
-		ptq := growWords(w.probeTqs, v.n*qw)
-		j := 0 // gathered tuples; tuple j's masked set is ptq[j*qw:][:qw]
-		for i := 0; i < v.n; i++ {
-			b, o := i*qw, j*qw
-			if !andWords(ptq[o:o+qw:o+qw], v.qsets[b:b+qw:b+qw], mk) {
-				continue
-			}
-			pk = append(pk, srcData[srcVids[i]])
-			pin = append(pin, int32(i))
-			j++
-		}
-		ptq = ptq[:j*qw]
-		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
-		// Output query sets are built in place in a slab sized for every
-		// match; a tuple whose set comes out empty is overwritten by the next.
-		oqs := growWords(out.qsets, len(w.vmatches)*qw)
-		o := 0
-		for mi := range w.vmatches {
-			m := &w.vmatches[mi]
-			j := int(m.In)
-			i := int(pin[j])
-			mq := []uint64(m.QSet)
-			if len(mq) < qw {
-				mq = padMask(w.matchPad, mq)
-			}
-			oq := oqs[o : o+qw : o+qw]
-			if !andWords(oq, ptq[j*qw:j*qw+qw:j*qw+qw], mq) {
-				continue
-			}
-			if len(residuals) > 0 {
-				for _, rr := range residuals {
-					wd, bit := rr.qid/64, uint64(1)<<(rr.qid%64)
-					if oq[wd]&bit != 0 {
-						// NULL never satisfies the residual equality; the
-						// ov == NullCode check rejects NULL = NULL too.
-						ov := rr.otherData[v.vids[rr.otherIdx][i]]
-						if ov != rr.targetData[m.VID] || ov == value.NullCode {
-							oq[wd] &^= bit
-						}
-					}
-				}
-				if !anyWords(oq) {
-					continue
-				}
-			}
-			o += qw
-			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
-		}
-		out.qsets = oqs[:o]
+		o += qw
+		emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 	}
+	out.qsets = oqs[:o]
 	lookups := int64(len(pk)) // STeM probe keys; folded per instance when collecting
 	w.ep.joinOut += int64(out.n)
 	w.ep.probeNs += time.Since(t0).Nanoseconds()

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,7 @@ import (
 	"github.com/roulette-db/roulette/internal/cost"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
+	"github.com/roulette-db/roulette/internal/value"
 )
 
 // filterFixture builds a grouped filter over a column of values 0..999 with
@@ -30,24 +33,86 @@ func filterFixture(rng *rand.Rand, nQueries, nPreds int) (*query.SelCol, []int64
 	return sc, col
 }
 
+// typedFilterFixture draws a grouped filter over a dictionary-coded column
+// with NULL cells: range predicates, dictionary IN lists (some literals
+// absent from the dictionary, some repeated), IS NULL and IS NOT NULL, with
+// query IDs drawn from a small pool so many queries carry several
+// predicates on the column.
+func typedFilterFixture(rng *rand.Rand, nQueries, nPreds int) (*query.SelCol, []int64, *value.Dict) {
+	dict := value.NewDict()
+	for i := 0; i < 400; i++ {
+		dict.Code(fmt.Sprintf("s%03d", i))
+	}
+	col := make([]int64, 500)
+	for i := range col {
+		col[i] = int64(rng.Intn(dict.Len()))
+		if rng.Intn(10) == 0 {
+			col[i] = value.NullCode
+		}
+	}
+	pool := make([]int, 1+rng.Intn(nPreds))
+	for i := range pool {
+		pool[i] = rng.Intn(nQueries)
+	}
+	sc := &query.SelCol{Inst: 0, Col: "c", Queries: bitset.New(nQueries)}
+	for p := 0; p < nPreds; p++ {
+		pr := query.Pred{QID: pool[rng.Intn(len(pool))]}
+		switch rng.Intn(6) {
+		case 0, 1:
+			pr.Kind = query.KindRange
+			pr.Lo = int64(rng.Intn(450)) - 20
+			pr.Hi = pr.Lo + int64(rng.Intn(120))
+		case 2, 3:
+			pr.Kind = query.KindStrings
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				pr.Strs = append(pr.Strs, fmt.Sprintf("s%03d", rng.Intn(450))) // s400+ are absent
+			}
+			pr.Strs = append(pr.Strs, pr.Strs[0]) // a repeated literal
+		case 4:
+			pr.Kind = query.KindIsNull
+		default:
+			pr.Kind = query.KindIsNotNull
+		}
+		sc.Preds = append(sc.Preds, pr)
+		sc.Queries.Add(pr.QID)
+	}
+	return sc, col, dict
+}
+
 func TestGroupedFilterEquivalentToNaive(t *testing.T) {
 	// Property: the range-table path and the per-predicate path compute the
 	// same masks for every value (the grouped-filter optimization must be
-	// semantics-preserving).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nQ := 1 + rng.Intn(100)
-		sc, col := filterFixture(rng, nQ, 1+rng.Intn(20))
-		gf := NewGroupedFilter(nQ, sc, col, nil)
+	// semantics-preserving). Every segment is checked at its first and last
+	// value, plus values below and above every segment and NULL. Plain
+	// range filters use up to 100 queries; typed ones 200 or more, so masks
+	// span several words.
+	check := func(gf *GroupedFilter, nQ int, extra []int64) bool {
 		scratch := bitset.New(nQ)
-		for _, v := range []int64{-5, 0, 1, 500, 999, 1100, col[0], col[10]} {
-			a := gf.maskFor(v)
-			b := gf.naiveMask(v, scratch)
-			if !a.Equal(b) {
+		vals := append([]int64{value.NullCode}, extra...)
+		for i, b := range gf.bounds {
+			vals = append(vals, b-1, b)
+			if i+1 < len(gf.bounds) {
+				vals = append(vals, gf.bounds[i+1]-1)
+			}
+		}
+		for _, v := range vals {
+			if a, b := gf.maskFor(v), gf.naiveMask(v, scratch); !a.Equal(b) {
+				t.Logf("value %d: table %v, naive %v", v, a.IDs(), b.IDs())
 				return false
 			}
 		}
 		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nQ := 1 + rng.Intn(100)
+		sc, col := filterFixture(rng, nQ, 1+rng.Intn(20))
+		if !check(NewGroupedFilter(nQ, sc, col, nil), nQ, []int64{-5, 0, 1, 500, 999, 1100, col[0], col[10]}) {
+			return false
+		}
+		nQ = 200 + rng.Intn(200)
+		sc, col, dict := typedFilterFixture(rng, nQ, 1+rng.Intn(60))
+		return check(NewGroupedFilter(nQ, sc, col, dict), nQ, []int64{-100, 0, 399, 1000, col[0], col[10]})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -85,6 +150,26 @@ func TestGroupedFilterSemantics(t *testing.T) {
 			if got[i] != c.want[i] {
 				t.Errorf("maskFor(%d) = %v, want %v", c.v, got, c.want)
 			}
+		}
+	}
+}
+
+// TestGroupedFilterRangeToMaxInt64 pins an open-ended range on a column
+// holding MaxInt64: the range's end bound would overflow, so it must stay
+// open to the end of the value space instead of wrapping to MinInt64.
+func TestGroupedFilterRangeToMaxInt64(t *testing.T) {
+	sc := &query.SelCol{
+		Inst: 0, Col: "c",
+		Preds:   []query.Pred{{QID: 0, Lo: 10, Hi: math.MaxInt64}},
+		Queries: bitset.FromIDs(1, 0),
+	}
+	gf := NewGroupedFilter(1, sc, []int64{5, 20, math.MaxInt64}, nil)
+	for _, c := range []struct {
+		v    int64
+		want bool
+	}{{5, false}, {9, false}, {10, true}, {20, true}, {math.MaxInt64, true}} {
+		if got := gf.maskFor(c.v).Contains(0); got != c.want {
+			t.Errorf("maskFor(%d) keeps q0 = %v, want %v", c.v, got, c.want)
 		}
 	}
 }

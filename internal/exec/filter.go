@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -11,7 +14,8 @@ import (
 // GroupedFilter is a shared selection operator evaluating every query's
 // predicates on one (instance, column) at once (§5.1). The optimized path
 // precomputes a range lookup table — one query-set mask per value segment —
-// so evaluation is a binary search, logarithmic in the query count. Queries
+// so evaluation is a binary search, logarithmic in the query count. The
+// table is built by one sweep over the sorted range endpoints. Queries
 // without a predicate on the column are unaffected: each stored mask
 // already includes their bits.
 //
@@ -31,10 +35,12 @@ type GroupedFilter struct {
 	col []int64 // the column data
 
 	// Range table: value v falls in segment i when bounds[i] <= v <
-	// bounds[i+1]; the matching mask is masks[i]. Values outside every
-	// bound take outMask (no predicate satisfied); NullCode takes nullMask.
+	// bounds[i+1] (the last segment is open-ended); the matching mask is
+	// masks[i*mw:(i+1)*mw]. Values below every bound take outMask (no
+	// predicate satisfied); NullCode takes nullMask.
 	bounds   []int64
-	masks    []bitset.Set
+	masks    []uint64 // one flat slab, mw words per segment
+	mw       int      // words per mask: len(outMask)
 	outMask  bitset.Set
 	nullMask bitset.Set
 
@@ -116,6 +122,7 @@ func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.D
 	}
 
 	// Normalize predicates into per-query groups of code-range unions.
+	groupOf := make([]int32, nQueries) // qid -> group index + 1
 	for _, p := range sc.Preds {
 		fp := filterPred{}
 		switch p.Kind {
@@ -147,18 +154,12 @@ func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.D
 				fp.ranges = [][2]int64{{lo, hi}}
 			}
 		}
-		gi := -1
-		for i := range f.groups {
-			if f.groups[i].qid == p.QID {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
+		if groupOf[p.QID] == 0 {
 			f.groups = append(f.groups, predGroup{qid: p.QID})
-			gi = len(f.groups) - 1
+			groupOf[p.QID] = int32(len(f.groups))
 		}
-		f.groups[gi].preds = append(f.groups[gi].preds, fp)
+		g := &f.groups[groupOf[p.QID]-1]
+		g.preds = append(g.preds, fp)
 	}
 
 	// outMask: bits of queries with no predicate here stay set.
@@ -175,44 +176,89 @@ func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.D
 		}
 	}
 
-	// Boundary points: each normalized range [lo, hi] contributes lo and
-	// hi+1. Collected into a sorted, deduplicated slice (rather than a hash
-	// set) so construction stays allocation-light and the table is
-	// immediately in binary-search order.
-	for i := range f.groups {
-		for _, p := range f.groups[i].preds {
-			for _, r := range p.ranges {
-				f.bounds = append(f.bounds, r[0], r[1]+1)
-			}
-		}
-	}
-	sort.Slice(f.bounds, func(i, j int) bool { return f.bounds[i] < f.bounds[j] })
-	uniq := f.bounds[:0]
-	for i, v := range f.bounds {
-		if i == 0 || v != f.bounds[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	f.bounds = uniq
+	f.buildTable()
+	return f
+}
 
-	if len(f.bounds) > 0 {
-		f.masks = make([]bitset.Set, len(f.bounds)-1)
-		for i := range f.masks {
-			m := f.outMask.Clone()
-			// Bounds include every range endpoint, so a segment is either
-			// fully inside or fully outside each range: probing the segment
-			// start stands for the whole segment.
-			lo := f.bounds[i]
-			for gi := range f.groups {
-				g := &f.groups[gi]
-				if g.matches(lo) {
-					m.Add(g.qid)
+// rangeEvent is one range endpoint of the table sweep: predicate pred's
+// range opens (d = +1) or closes (d = -1) at value at.
+type rangeEvent struct {
+	at   int64
+	pred int32
+	d    int32
+}
+
+// buildTable fills the range table by one sweep over the sorted range
+// endpoints: each normalized range [lo, hi] opens at lo and closes at
+// hi+1. Per predicate, open counts the ranges containing the sweep
+// position; per group, sat counts the predicates with an open range. A
+// group matches exactly while sat equals its predicate count, so a query's
+// bit toggles only when its group's state flips, and each distinct
+// endpoint appends the running mask as its segment's mask. The cost is the
+// sort plus linear in the endpoints and the table, instead of re-testing
+// every group for every segment. IS NULL predicates and predicates left
+// with no range never open, so their groups never match a non-NULL value.
+func (f *GroupedFilter) buildTable() {
+	nr, np := 0, 0
+	for gi := range f.groups {
+		for _, p := range f.groups[gi].preds {
+			nr += len(p.ranges)
+			np++
+		}
+	}
+	evs := make([]rangeEvent, 0, 2*nr)
+	predGroup := make([]int32, 0, np) // predicate index -> group index
+	need := make([]int32, len(f.groups))
+	for gi := range f.groups {
+		need[gi] = int32(len(f.groups[gi].preds))
+		for _, p := range f.groups[gi].preds {
+			pi := int32(len(predGroup))
+			predGroup = append(predGroup, int32(gi))
+			for _, r := range p.ranges {
+				evs = append(evs, rangeEvent{r[0], pi, 1})
+				if r[1] < math.MaxInt64 { // a range up to MaxInt64 never closes
+					evs = append(evs, rangeEvent{r[1] + 1, pi, -1})
 				}
 			}
-			f.masks[i] = m
 		}
 	}
-	return f
+	slices.SortFunc(evs, func(a, b rangeEvent) int { return cmp.Compare(a.at, b.at) })
+	nb := 0 // distinct endpoints: the table's segment count
+	for i := range evs {
+		if i == 0 || evs[i].at != evs[i-1].at {
+			nb++
+		}
+	}
+	f.mw = len(f.outMask)
+	f.bounds = make([]int64, 0, nb)
+	f.masks = make([]uint64, 0, nb*f.mw)
+	open := make([]int32, len(predGroup))
+	sat := make([]int32, len(f.groups))
+	run := f.outMask.Clone()
+	for i := 0; i < len(evs); {
+		at := evs[i].at
+		for ; i < len(evs) && evs[i].at == at; i++ {
+			e := evs[i]
+			was := open[e.pred] > 0
+			open[e.pred] += e.d
+			if open[e.pred] > 0 == was {
+				continue
+			}
+			gi := predGroup[e.pred]
+			matched := sat[gi] == need[gi]
+			if was {
+				sat[gi]--
+			} else {
+				sat[gi]++
+			}
+			if sat[gi] == need[gi] != matched {
+				qid := f.groups[gi].qid
+				run[qid/64] ^= 1 << (qid % 64)
+			}
+		}
+		f.bounds = append(f.bounds, at)
+		f.masks = append(f.masks, run...)
+	}
 }
 
 // maskFor returns the query-set mask for value v via the range table.
@@ -222,10 +268,10 @@ func (f *GroupedFilter) maskFor(v int64) bitset.Set {
 	}
 	// Rightmost segment start <= v.
 	i := sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i] > v }) - 1
-	if i < 0 || i >= len(f.masks) {
+	if i < 0 {
 		return f.outMask
 	}
-	return f.masks[i]
+	return f.masks[i*f.mw : (i+1)*f.mw : (i+1)*f.mw]
 }
 
 // naiveMask computes the mask by scanning every predicate (the unoptimized

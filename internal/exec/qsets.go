@@ -15,9 +15,10 @@ package exec
 //   - Emptiness is an OR-accumulation (acc |= x) tested once after the
 //     loop, not a per-word branch.
 //
-// The scalar qw == 1 paths that probe, routeSel, compact and the grouped
-// filters already had are kept as they were, so batches of up to 64 queries
-// run the code they ran before; no new one-word path is added.
+// The scalar qw == 1 paths that routeSel, compact and the grouped filters
+// already had are kept as they were; no new one-word path is added. The
+// probe has one path for every width: its gather loop runs andWords and
+// the STeM kernel (stem.ProbeVec) writes the intersected sets.
 
 // padMask copies mask into dst, zero-filling the words past len(mask); dst
 // keeps its length (the tuple width).

@@ -520,9 +520,10 @@ type Match struct {
 
 // Probe finds entries whose key column col equals key and whose published
 // timestamp is strictly older than probeTS, appending them to dst. The
-// returned query sets are copies (this scalar path serves tests and
-// calibration; the engine probes with ProbeVec, which stages query-set
-// words into a caller-owned slab instead of allocating).
+// returned query sets are copies (this scalar path serves tests and `-fig
+// perf`; the engine probes with ProbeVec, which writes
+// each match's intersection with the probing set into a caller-owned slab
+// instead of allocating).
 //
 // probeTS must have been drawn from the STeM's Versions table (Publish or
 // Now) before the probe began. Entries whose slot is still unpublished are

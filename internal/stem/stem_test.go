@@ -2,6 +2,7 @@ package stem
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -297,6 +298,9 @@ func TestVisibleAtPublishRaceInvariant(t *testing.T) {
 // chunk boundaries: a probe must never walk a chain entry whose chunk is
 // missing from its slab snapshot (the snapshot is ordered after the bucket
 // head loads), and every match it does emit must be published and valid.
+// The vector probe runs random non-empty probing sets two words wide
+// against the one-word STeM: each written set must be the probing set's
+// first word ∧ the entry's set, with a zero second word.
 func TestProbeDuringChunkGrowth(t *testing.T) {
 	const total = chunkSize*3 + 100
 	const hotKeys = 8
@@ -318,12 +322,15 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 	}()
 
 	var scratch []Match
-	var vecDst []VecMatch
-	var vecQbuf []uint64
+	var hits []VecHit
+	var sets []uint64
 	keys := make([]int64, hotKeys)
 	for k := range keys {
 		keys[k] = int64(k)
 	}
+	const bw = 2
+	rng := rand.New(rand.NewSource(3))
+	tqs := make([]uint64, hotKeys*bw)
 	for alive := true; alive; {
 		select {
 		case <-done:
@@ -340,10 +347,23 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 				}
 			}
 		}
-		vecDst, vecQbuf = s.ProbeVec(vecDst[:0], vecQbuf[:0], "k", keys, ts, wm)
-		for _, m := range vecDst {
+		for i := range tqs {
+			tqs[i] = rng.Uint64()
+		}
+		for k := range keys {
+			tqs[k*bw] |= 1 << uint(rng.Intn(2)) // every probing set meets qs
+		}
+		dirty(sets)
+		hits, sets = s.ProbeVec(hits[:0], sets[:0], "k", keys, tqs, bw, ts, wm)
+		if len(sets) != len(hits)*bw {
+			t.Fatalf("vector probe wrote %d words for %d hits", len(sets), len(hits))
+		}
+		for h, m := range hits {
 			if int64(m.VID)%hotKeys != keys[m.In] {
 				t.Fatalf("vector probe key %d matched vid %d", keys[m.In], m.VID)
+			}
+			if got, want := sets[h*bw:h*bw+bw], []uint64{tqs[int(m.In)*bw] & qs[0], 0}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("vector probe key %d vid %d wrote %#x, want %#x", keys[m.In], m.VID, got, want)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 package stem
 
 import (
+	"slices"
 	"sync/atomic"
-
-	"github.com/roulette-db/roulette/internal/bitset"
 )
 
 // This file holds the vector kernels: whole-episode-vector variants of
@@ -21,9 +20,16 @@ import (
 //     lookup per call), batch-hashes the key block and preloads bucket
 //     heads before walking chains, and consults the publication watermark:
 //     entries whose slot is under the watermark skip the per-entry
-//     timestamp load entirely.
+//     timestamp load entirely. It takes the caller's per-key query sets and
+//     writes each match's intersection straight into the caller's output
+//     slab, so no matched query set is staged or copied twice.
 //   - SemiJoinVec is the batched symmetric-join-pruning primitive with the
-//     same watermark short-circuit.
+//     same watermark short-circuit; it prunes the caller's query sets in
+//     place.
+//
+// Both query-set kernels follow one width contract: the caller's sets are
+// qw words per key, whatever the STeM's own width. Words the STeM does not
+// store read as zero, and stored words past qw are ignored.
 //
 // Memory-ordering argument (same as the scalar Insert): every entry write
 // — vIDs, slots, keys, query sets, intra-batch next links — happens before
@@ -40,12 +46,12 @@ import (
 // run, and mixed plain/atomic access on the same words would both race and
 // tear under the race detector.
 
-// VecMatch is one ProbeVec result: input position In of the probed key
-// batch matched entry (VID, QSet).
-type VecMatch struct {
-	In   int32
-	VID  int32
-	QSet bitset.Set // view into the caller's ProbeVec query-set buffer
+// VecHit is one ProbeVec result: input position In of the probed key batch
+// matched entry VID. It holds no pointer, so hit buffers cost the garbage
+// collector nothing to scan and appends pay no write barrier.
+type VecHit struct {
+	In  int32
+	VID int32
 }
 
 // InsertScratch is the worker-local scratch for InsertVec's intra-batch
@@ -214,14 +220,18 @@ func (s *STeM) spliceBatch(st *stemState, ki int, base int64, n int, keys []int6
 // cache misses overlap instead of serializing with the walks.
 const probeBlock = 128
 
-// ProbeVec probes every key of keys on column col, appending each match to
-// dst tagged with the key's input position. Matched query sets are staged
-// into qbuf (s.qw atomically loaded words per match, appended in match
-// order); each appended VecMatch's QSet is a view into the returned qbuf.
-// Both dst and qbuf grow with append and are returned; callers reuse them
-// across episodes so the steady state does not allocate. Only the
-// newly appended tail of dst carries valid QSet views — pass matched
-// prefixes of the same (dst, qbuf) pair or start from [:0].
+// ProbeVec probes every key of keys on column col and intersects query sets
+// in the same pass. tqs holds the probing tuples' query sets, qw words per
+// key (tqs[i*qw:(i+1)*qw] belongs to keys[i]). For each visible entry
+// matching keys[i], the kernel writes tqs[i] ∧ entry set (qw words) to the
+// end of out and appends VecHit{i, vid} to hits; a match whose
+// intersection is empty is dropped before either is appended. So the k-th
+// appended hit's set is the k-th appended qw-word group of out. Both slices
+// are returned. They are first grown to hold one hit per key, which is all
+// a unique-key (dimension) probe can produce, and grow further only for
+// larger fan-outs; callers reuse them across episodes so the steady state
+// does not allocate. Hits come out in input order, and in chain order per
+// key.
 //
 // Visibility follows Probe's contract — published timestamp strictly older
 // than probeTS — with one amortization: wm must be a watermark value read
@@ -230,7 +240,7 @@ const probeBlock = 128
 // older than probeTS, so those entries (the stable majority in a long-lived
 // session) skip the per-entry timestamp load entirely. Pass wm 0 to
 // disable the short-circuit.
-func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
+func (s *STeM) ProbeVec(hits []VecHit, out []uint64, col string, keys []int64, tqs []uint64, qw int, probeTS int64, wm Slot) ([]VecHit, []uint64) {
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
 	// probe is required to see (timestamp older than probeTS) happened
@@ -239,21 +249,20 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {
-		return dst, qbuf
+		return hits, out
 	}
-	dstBase, qBase := len(dst), len(qbuf)
+	hits, out = slices.Grow(hits, len(keys)), slices.Grow(out, len(keys)*qw)
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
+	sqw := s.qw
+	uw := min(qw, sqw) // words read from entries; out words past uw are zero
 	var heads [probeBlock]int32
 	var eKey [probeBlock]int64
 	var eNext [probeBlock]int32
 	var eSlot [probeBlock]Slot
 	var eVID [probeBlock]int32
 	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := len(keys) - i0
-		if m > probeBlock {
-			m = probeBlock
-		}
+		m := min(len(keys)-i0, probeBlock)
 		for j := 0; j < m; j++ {
 			if keys[i0+j] == NullKey {
 				heads[j] = 0 // NULL probe keys match nothing, see NullKey
@@ -289,70 +298,79 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 			if ref == 0 {
 				continue
 			}
-			key := keys[i0+j]
-			in := int32(i0 + j)
-			if eKey[j] == key {
-				slot := eSlot[j]
-				if slot < wm || s.versions.visibleAt(slot, probeTS) {
-					idx := int(ref) - 1
-					c := chunks[idx>>chunkBits]
-					qoff := (idx & chunkMask) * s.qw
-					for w := 0; w < s.qw; w++ {
-						qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
+			i := i0 + j
+			key := keys[i]
+			t := tqs[i*qw : i*qw+uw : i*qw+uw]
+			idx := int(ref) - 1
+			match, slot, vid, next := eKey[j] == key, eSlot[j], eVID[j], eNext[j]
+			for {
+				if match && (slot < wm || s.versions.visibleAt(slot, probeTS)) {
+					n := len(out)
+					if cap(out)-n < qw {
+						out = slices.Grow(out, qw)
 					}
-					dst = append(dst, VecMatch{In: in, VID: eVID[j]})
+					o := out[n : n+len(t) : n+len(t)]
+					es := chunks[idx>>chunkBits].qsets[(idx&chunkMask)*sqw:]
+					es = es[:len(t):len(t)]
+					var acc uint64
+					for w := range t {
+						x := t[w] & atomic.LoadUint64(&es[w])
+						o[w] = x
+						acc |= x
+					}
+					if acc != 0 {
+						out = out[:n+qw]
+						if uw < qw {
+							clear(out[n+uw:])
+						}
+						hits = append(hits, VecHit{In: int32(i), VID: vid})
+					}
 				}
-			}
-			for ref = eNext[j]; ref != 0; {
-				idx := int(ref) - 1
+				if next == 0 {
+					break
+				}
+				idx = int(next) - 1
 				c := chunks[idx>>chunkBits]
 				off := idx & chunkMask
-				if c.keys[ki][off] == key {
-					slot := c.slots[off]
-					if slot < wm || s.versions.visibleAt(slot, probeTS) {
-						qoff := off * s.qw
-						for w := 0; w < s.qw; w++ {
-							qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
-						}
-						dst = append(dst, VecMatch{In: in, VID: c.vids[off]})
-					}
+				next = c.next[ki][off]
+				if match = c.keys[ki][off] == key; match {
+					slot, vid = c.slots[off], c.vids[off]
 				}
-				ref = c.next[ki][off]
 			}
 		}
 	}
-	// Fix up the QSet views only after all appends: qbuf's backing array is
-	// final now, so the views cannot be invalidated by growth.
-	for k := dstBase; k < len(dst); k++ {
-		qo := qBase + (k-dstBase)*s.qw
-		dst[k].QSet = bitset.Set(qbuf[qo : qo+s.qw])
-	}
-	return dst, qbuf
+	return hits, out
 }
 
-// SemiJoinVec ORs, for each input key i, the query sets of all published
-// entries matching keys[i] on col into outs[i*qw : (i+1)*qw] (the batched
-// SemiJoinQueries). Publication needs no timestamp ordering here, so the
-// watermark is read internally: entries under it skip the version lookup.
-func (s *STeM) SemiJoinVec(outs []uint64, qw int, col string, keys []int64) {
+// SemiJoinVec prunes query sets in place (the batched SemiJoinQueries used
+// by symmetric join pruning): tuple i's set q, qw words at qsets[i*qw:],
+// becomes q ∧ (keep ∨ U), where U is the union of the query sets of every
+// published entry matching keys[i] on col. keep (qw words) names the bits
+// pruning must leave alone; acc is qw words of caller scratch. Publication
+// needs no timestamp ordering here, so the watermark is read internally:
+// entries under it skip the version lookup.
+func (s *STeM) SemiJoinVec(qsets []uint64, qw int, keep, acc []uint64, col string, keys []int64) {
+	keep, acc = keep[:qw:qw], acc[:qw:qw]
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {
+		// No entry can match: only the kept bits survive.
+		for b := 0; b < len(keys)*qw; b += qw {
+			q := qsets[b : b+qw : b+qw]
+			for w := range q {
+				q[w] &= keep[w]
+			}
+		}
 		return
 	}
 	wm := s.versions.Watermark()
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
-	uw := qw
-	if s.qw < uw {
-		uw = s.qw
-	}
+	sqw := s.qw
+	uw := min(qw, sqw)
 	var heads [probeBlock]int32
 	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := len(keys) - i0
-		if m > probeBlock {
-			m = probeBlock
-		}
+		m := min(len(keys)-i0, probeBlock)
 		for j := 0; j < m; j++ {
 			if keys[i0+j] == NullKey {
 				heads[j] = 0 // NULL probe keys match nothing, see NullKey
@@ -363,25 +381,37 @@ func (s *STeM) SemiJoinVec(outs []uint64, qw int, col string, keys []int64) {
 		// Chunk snapshot after the head loads; see ProbeVec.
 		chunks := *st.chunks.Load()
 		for j := 0; j < m; j++ {
+			i := i0 + j
+			q := qsets[i*qw : i*qw+qw : i*qw+qw]
 			ref := heads[j]
 			if ref == 0 {
+				for w := range q {
+					q[w] &= keep[w]
+				}
 				continue
 			}
-			key := keys[i0+j]
-			out := outs[(i0+j)*qw : (i0+j)*qw+uw]
+			// acc collects q's surviving bits: the kept ones up front, then
+			// each matching entry's share of q.
+			for w := range acc {
+				acc[w] = q[w] & keep[w]
+			}
+			key := keys[i]
+			qu, au := q[:uw:uw], acc[:uw:uw]
 			for ref != 0 {
 				idx := int(ref) - 1
 				c := chunks[idx>>chunkBits]
 				off := idx & chunkMask
 				if c.keys[ki][off] == key &&
 					(c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
-					qoff := off * s.qw
-					for w := 0; w < uw; w++ {
-						out[w] |= atomic.LoadUint64(&c.qsets[qoff+w])
+					es := c.qsets[off*sqw:]
+					es = es[:uw:uw]
+					for w := range au {
+						au[w] |= qu[w] & atomic.LoadUint64(&es[w])
 					}
 				}
 				ref = c.next[ki][off]
 			}
+			copy(q, acc)
 		}
 	}
 }

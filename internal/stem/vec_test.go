@@ -13,39 +13,93 @@ import (
 	"github.com/roulette-db/roulette/internal/bitset"
 )
 
-// canonScalar renders per-key scalar Probe results as a sorted multiset of
-// "in|vid|qset" strings, the common currency for equivalence checks. Batch
+// canonScalar is the fused-probe oracle: for every scalar Probe match of
+// keys[in], it intersects the match's query set with the probing set
+// tqs[in] (qw words; STeM words past qw ignored, missing ones zero), drops
+// empty intersections, and renders the rest as a sorted multiset of
+// "in|vid|set" strings, the common currency for equivalence checks. Batch
 // chains order same-bucket entries differently than scalar LIFO chains, so
 // only the match *sets* are comparable.
-func canonScalar(s *STeM, col string, keys []int64, ts int64) []string {
+func canonScalar(s *STeM, col string, keys []int64, tqs []uint64, qw int, ts int64) []string {
 	var out []string
 	var dst []Match
+	x := make([]uint64, qw)
 	for in, k := range keys {
 		dst = s.Probe(dst[:0], col, k, ts)
 		for _, m := range dst {
-			out = append(out, fmt.Sprintf("%d|%d|%v", in, m.VID, []uint64(m.QSet)))
+			var acc uint64
+			for w := range x {
+				x[w] = 0
+				if w < len(m.QSet) {
+					x[w] = m.QSet[w] & tqs[in*qw+w]
+				}
+				acc |= x[w]
+			}
+			if acc != 0 {
+				out = append(out, fmt.Sprintf("%d|%d|%v", in, m.VID, x))
+			}
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
+// fullSets returns n probing query sets of qw words with every bit set.
+func fullSets(n, qw int) []uint64 {
+	tqs := make([]uint64, n*qw)
+	for i := range tqs {
+		tqs[i] = ^uint64(0)
+	}
+	return tqs
+}
+
+// randSets returns n probing query sets of qw words, each bit set with
+// probability 1/2.
+func randSets(rng *rand.Rand, n, qw int) []uint64 {
+	tqs := make([]uint64, n*qw)
+	for i := range tqs {
+		tqs[i] = rng.Uint64()
+	}
+	return tqs
+}
+
 // probeVec is the test-side one-shot ProbeVec wrapper (fresh buffers each
 // call; production callers reuse worker arenas).
-func probeVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []VecMatch {
-	ms, _ := s.ProbeVec(nil, nil, col, keys, ts, wm)
-	return ms
+func probeVec(s *STeM, col string, keys []int64, tqs []uint64, qw int, ts int64, wm Slot) ([]VecHit, []uint64) {
+	return s.ProbeVec(nil, nil, col, keys, tqs, qw, ts, wm)
 }
 
-// probeVecCount returns the number of ProbeVec matches.
+// probeVecCount returns the number of ProbeVec hits of probing sets with
+// every bit set.
 func probeVecCount(s *STeM, col string, keys []int64, ts int64, wm Slot) int {
-	return len(probeVec(s, col, keys, ts, wm))
+	hits, _ := probeVec(s, col, keys, fullSets(len(keys), s.qw), s.qw, ts, wm)
+	return len(hits)
 }
 
-func canonVec(ms []VecMatch) []string {
+// dirty fills a reused output slab up to its capacity with set bits, so a
+// kernel that leaves a word unwritten shows.
+func dirty(sets []uint64) {
+	sets = sets[:cap(sets)]
+	for i := range sets {
+		sets[i] = ^uint64(0)
+	}
+}
+
+// canonProbe probes with fresh buffers and renders the output.
+func canonProbe(s *STeM, col string, keys []int64, tqs []uint64, qw int, ts int64, wm Slot) []string {
+	hits, sets := probeVec(s, col, keys, tqs, qw, ts, wm)
+	return canonVec(hits, sets, qw)
+}
+
+// canonVec renders ProbeVec output like canonScalar; an output slab not
+// exactly qw words per hit renders as a marker that matches no oracle.
+func canonVec(hits []VecHit, sets []uint64, qw int) []string {
+	if len(sets) != len(hits)*qw {
+		return []string{fmt.Sprintf("slab has %d words for %d hits × %d", len(sets), len(hits), qw)}
+	}
 	var out []string
-	for _, m := range ms {
-		out = append(out, fmt.Sprintf("%d|%d|%v", m.In, m.VID, []uint64(m.QSet)))
+	for k, h := range hits {
+		out = append(out, fmt.Sprintf("%d|%d|%v", h.In, h.VID, sets[k*qw:(k+1)*qw]))
 	}
 	sort.Strings(out)
 	return out
@@ -55,7 +109,9 @@ func canonVec(ms []VecMatch) []string {
 // STeM built with per-tuple Insert and one built with InsertVec (random
 // batch sizes, random key skew, random query-set width) must agree on every
 // probe, whether probed scalar or vectorized, with or without the watermark
-// short-circuit, and on every semi-join.
+// short-circuit, and on every semi-join. The vector kernels run at a batch
+// width one word narrower than, equal to or wider than the STeM's, with
+// random probing sets and random kept masks.
 func TestQuickVecScalarEquivalence(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,38 +159,53 @@ func TestQuickVecScalarEquivalence(t *testing.T) {
 		for k := int64(0); k <= domain; k++ { // domain itself = guaranteed miss
 			probeKeys = append(probeKeys, k)
 		}
+		bw := max(qw+rng.Intn(3)-1, 1) // batch width: narrower, equal or wider
+		masks := map[string][]uint64{
+			"full":   fullSets(len(probeKeys), bw),
+			"random": randSets(rng, len(probeKeys), bw),
+		}
 		for _, col := range []string{"a", "b"} {
 			wmA, wmB := vA.Watermark(), vB.Watermark()
 			tsA, tsB := vA.Now(), vB.Now()
-			want := canonScalar(sA, col, probeKeys, tsA)
-			if got := canonScalar(sB, col, probeKeys, tsB); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: scalar probe of vector-built STeM diverged", col)
-				return false
-			}
-			if got := canonVec(probeVec(sB, col, probeKeys, tsB, wmB)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec diverged (wm=%d)", col, wmB)
-				return false
-			}
-			if got := canonVec(probeVec(sB, col, probeKeys, tsB, 0)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec diverged with watermark disabled", col)
-				return false
-			}
-			if got := canonVec(probeVec(sA, col, probeKeys, tsA, wmA)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec of scalar-built STeM diverged", col)
-				return false
+			for name, tqs := range masks {
+				want := canonScalar(sA, col, probeKeys, tqs, bw, tsA)
+				if got := canonScalar(sB, col, probeKeys, tqs, bw, tsB); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s %s masks: scalar probe of vector-built STeM diverged", col, name)
+					return false
+				}
+				if got := canonProbe(sB, col, probeKeys, tqs, bw, tsB, wmB); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s %s masks, width %d/%d: ProbeVec diverged (wm=%d)", col, name, bw, qw, wmB)
+					return false
+				}
+				if got := canonProbe(sB, col, probeKeys, tqs, bw, tsB, 0); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s %s masks: ProbeVec diverged with watermark disabled", col, name)
+					return false
+				}
+				if got := canonProbe(sA, col, probeKeys, tqs, bw, tsA, wmA); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s %s masks: ProbeVec of scalar-built STeM diverged", col, name)
+					return false
+				}
 			}
 
-			outs := make([]uint64, len(probeKeys)*qw)
-			sB.SemiJoinVec(outs, qw, col, probeKeys)
+			// Semi-join oracle: q ∧ (keep ∨ union of the matching entries'
+			// sets), the union read at the STeM's width.
+			qs := randSets(rng, len(probeKeys), bw)
+			keep := randSets(rng, 1, bw)
+			got := append([]uint64(nil), qs...)
+			sB.SemiJoinVec(got, bw, keep, make([]uint64, bw), col, probeKeys)
 			ref := bitset.Set(make([]uint64, qw))
 			for i, k := range probeKeys {
-				for w := range ref {
-					ref[w] = 0
-				}
+				clear(ref)
 				sA.SemiJoinQueries(ref, col, k)
-				if !reflect.DeepEqual([]uint64(ref), outs[i*qw:(i+1)*qw]) {
-					t.Logf("col %s key %d: SemiJoinVec diverged", col, k)
-					return false
+				for w := 0; w < bw; w++ {
+					var u uint64
+					if w < qw {
+						u = ref[w]
+					}
+					if want := qs[i*bw+w] & (keep[w] | u); got[i*bw+w] != want {
+						t.Logf("col %s key %d word %d: SemiJoinVec = %#x, want %#x", col, k, w, got[i*bw+w], want)
+						return false
+					}
 				}
 			}
 		}
@@ -191,18 +262,21 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	if total != n+2 { // +2: the width-test entries on keys 7 and 8
 		t.Fatalf("probed %d entries after multi-chunk InsertVec, want %d", total, n+2)
 	}
-	if got := probeVec(s, "k", keys[:97], ts, v.Watermark()); len(got) != total {
-		t.Fatalf("ProbeVec found %d entries, want %d", len(got), total)
+	if got := probeVecCount(s, "k", keys[:97], ts, v.Watermark()); got != total {
+		t.Fatalf("ProbeVec found %d entries, want %d", got, total)
 	}
 }
 
 // TestProbeVecScalarAgreeUnderConcurrentPublication interleaves a publisher
 // continuously inserting and publishing batches with a prober comparing
-// Probe and ProbeVec under the same (watermark, timestamp) snapshot. Both
-// paths must return the identical match set: visibility is a deterministic
+// Probe and ProbeVec under the same (watermark, timestamp) snapshot. The
+// fused output must equal scalar Probe's matches intersected with the
+// probing sets, empty intersections dropped: visibility is a deterministic
 // function of the probe timestamp, and the watermark (read before the
-// timestamp) may never admit more. Run under -race this also checks the
-// kernels' lock-free memory discipline.
+// timestamp) may never admit more. The probing sets are random and two
+// words wide against the one-word STeM, so the zero-filled high word is
+// checked too. Run under -race this also checks the kernels' lock-free
+// memory discipline.
 func TestProbeVecScalarAgreeUnderConcurrentPublication(t *testing.T) {
 	const domain = 32
 	const maxEntries = 1 << 14
@@ -250,11 +324,18 @@ func TestProbeVecScalarAgreeUnderConcurrentPublication(t *testing.T) {
 	for i := range probeKeys {
 		probeKeys[i] = int64(i)
 	}
+	const bw = 2 // batch width past the STeM's one word
+	rng := rand.New(rand.NewSource(7))
+	var hits []VecHit
+	var sets []uint64
 	for iter := 0; iter < 150; iter++ {
+		tqs := randSets(rng, domain, bw)
 		wm := v.Watermark()
 		ts := v.Now()
-		want := canonScalar(s, "k", probeKeys, ts)
-		got := canonVec(probeVec(s, "k", probeKeys, ts, wm))
+		want := canonScalar(s, "k", probeKeys, tqs, bw, ts)
+		dirty(sets)
+		hits, sets = s.ProbeVec(hits[:0], sets[:0], "k", probeKeys, tqs, bw, ts, wm)
+		got := canonVec(hits, sets, bw)
 		if !reflect.DeepEqual(got, want) {
 			close(stop)
 			wg.Wait()
@@ -316,10 +397,13 @@ func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 // TestProbeVecDuringGC races ProbeVec against the streaming GC operations
 // (SweepChunk, CompactLive, EnsureBuckets) under the engine's quiesce
 // discipline — GC holds the gate exclusively, probes hold it shared — and
-// checks every probe observes a consistent state: matches are a subset of
-// the original entries and a superset of the post-GC survivors, and the
-// watermark is unchanged by the rebuild (compacted entries keep their slots,
-// so the under-watermark fast path stays correct).
+// checks every probe observes a consistent state: hits are a subset of the
+// original entries and a superset of the post-GC survivors, every written
+// set is exactly the probing set ∧ the entry's live bits (a swept entry's
+// set is empty, so it is dropped, never written), and the watermark is
+// unchanged by the rebuild (compacted entries keep their slots, so the
+// under-watermark fast path stays correct). Half the probers use full
+// probing sets and half random ones.
 func TestProbeVecDuringGC(t *testing.T) {
 	const n = 2 * chunkSize
 	const domain = 128
@@ -364,32 +448,40 @@ func TestProbeVecDuringGC(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
 			for iter := 0; ; iter++ {
 				select {
 				case <-gcDone:
 					return
 				default:
 				}
+				// Prober 1's random sets always keep query 1, so the
+				// survivor bound below holds for both probers.
+				tqs := fullSets(domain, 1)
+				if g == 1 {
+					tqs = randSets(rng, domain, 1)
+					for i := range tqs {
+						tqs[i] |= 1 << 1
+					}
+				}
 				gate.RLock()
 				wm := v.Watermark()
 				ts := v.Now()
-				ms := probeVec(s, "k", probeKeys, ts, wm)
-				counts := make(map[int32]int, domain)
-				bad := false
-				var badm VecMatch
-				for _, m := range ms {
-					counts[m.In]++
-					// Key attribution and survivor query bits must hold at
-					// every intermediate GC state.
-					if int64(m.VID%domain) != probeKeys[m.In] ||
-						((m.VID/domain)%2 == 1 && !m.QSet.Contains(1)) {
-						bad, badm = true, m
-					}
-				}
+				hits, sets := probeVec(s, "k", probeKeys, tqs, 1, ts, wm)
 				gate.RUnlock()
-				if bad {
-					t.Errorf("prober %d iter %d: inconsistent match %+v", g, iter, badm)
-					return
+				counts := make(map[int32]int, domain)
+				for k, h := range hits {
+					counts[h.In]++
+					// Key attribution and the written set must hold at
+					// every intermediate GC state: the entry's own bit
+					// (cohort parity), possibly already swept when it is
+					// query 0, intersected with the probing set.
+					own := uint64(1) << uint((h.VID/domain)%2)
+					if int64(h.VID%domain) != probeKeys[h.In] || sets[k] != own&tqs[h.In] {
+						t.Errorf("prober %d iter %d: inconsistent hit %+v with set %#x (probing %#x)",
+							g, iter, h, sets[k], tqs[h.In])
+						return
+					}
 				}
 				for in := range probeKeys {
 					c := counts[int32(in)]
@@ -413,13 +505,13 @@ func TestProbeVecDuringGC(t *testing.T) {
 	}
 	// Post-GC exact check through the under-watermark fast path: compacted
 	// survivors kept their (published) slots.
-	ms := probeVec(s, "k", probeKeys, v.Now(), v.Watermark())
-	if len(ms) != domain*liveKey {
-		t.Fatalf("post-GC ProbeVec = %d matches, want %d", len(ms), domain*liveKey)
+	hits, sets := probeVec(s, "k", probeKeys, fullSets(domain, 1), 1, v.Now(), v.Watermark())
+	if len(hits) != domain*liveKey {
+		t.Fatalf("post-GC ProbeVec = %d hits, want %d", len(hits), domain*liveKey)
 	}
-	for _, m := range ms {
-		if (m.VID/domain)%2 != 1 || !m.QSet.Contains(1) || m.QSet.Contains(0) {
-			t.Fatalf("post-GC match %+v carries retired state", m)
+	for k, h := range hits {
+		if (h.VID/domain)%2 != 1 || sets[k] != 1<<1 {
+			t.Fatalf("post-GC hit %+v with set %#x carries retired state", h, sets[k])
 		}
 	}
 }
@@ -513,17 +605,18 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 	for i := range probeKeys {
 		probeKeys[i] = rng.Int63n(entries)
 	}
+	tqs := fullSets(len(probeKeys), 1) // every match is written, like scalar copies
 	for _, mode := range []string{"scalar", "vec"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				var dst []Match
-				var vdst []VecMatch
-				var vqbuf []uint64
+				var hits []VecHit
+				var sets []uint64
 				for pb.Next() {
 					if mode == "vec" {
-						vdst, vqbuf = s.ProbeVec(vdst[:0], vqbuf[:0], "k", probeKeys, ts, wm)
+						hits, sets = s.ProbeVec(hits[:0], sets[:0], "k", probeKeys, tqs, 1, ts, wm)
 					} else {
 						for _, k := range probeKeys {
 							dst = s.Probe(dst[:0], "k", k, ts)
